@@ -236,19 +236,6 @@ class PulseDef:
     amp: float
     env: EnvelopeSpec
 
-    def replace(self, **kwargs):
-        fields = {
-            "dest": self.dest,
-            "t0": self.t0,
-            "twidth": self.twidth,
-            "fcarrier": self.fcarrier,
-            "pcarrier": self.pcarrier,
-            "amp": self.amp,
-            "env": self.env,
-        }
-        fields.update(kwargs)
-        return PulseDef(**fields)
-
 
 @dataclass(frozen=True)
 class GatePulseSpec:

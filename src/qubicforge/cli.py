@@ -105,16 +105,20 @@ def _obtain_program(args) -> CompiledProgram:
     return _compile_from_args(args)
 
 
-def _write_waveform_csv(path, program, result):
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sample", "pair", "i", "q"])
-        if not program.image.commands:
-            return
-        for pair in sorted(result.dac):
-            wave = result.dac[pair]
-            for n in range(wave.shape[0]):
-                writer.writerow([n, pair, int(wave[n, 0]), int(wave[n, 1])])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_acc_csv(path, acc):
+    rows = (
+        [element, k, int(i), int(q)]
+        for element in sorted(acc)
+        for k, (i, q) in enumerate(acc[element])
+    )
+    _write_csv(path, ["element", "entry", "i", "q"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -157,21 +161,15 @@ def _cmd_simulate(args):
     )
     os.makedirs(args.out, exist_ok=True)
     wave_path = os.path.join(args.out, args.name + ".waveform.csv")
-    _write_waveform_csv(wave_path, program, result)
+    waves = result.dac if program.image.commands else {}
+    rows = ([n, p, int(i), int(q)] for p in sorted(waves) for n, (i, q) in enumerate(waves[p]))
+    _write_csv(wave_path, ["sample", "pair", "i", "q"], rows)
     acc_path = os.path.join(args.out, args.name + ".acc.csv")
-    with open(acc_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["element", "entry", "i", "q"])
-        for element in sorted(result.acc):
-            for k, (i, q) in enumerate(result.acc[element]):
-                writer.writerow([element, k, int(i), int(q)])
+    _write_acc_csv(acc_path, result.acc)
     if acq is not None:
         acq_path = os.path.join(args.out, args.name + ".acq.csv")
-        with open(acq_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample", "i", "q"])
-            for n, (i, q) in enumerate(result.acq):
-                writer.writerow([n, int(i), int(q)])
+        rows = ([n, int(i), int(q)] for n, (i, q) in enumerate(result.acq))
+        _write_csv(acq_path, ["sample", "i", "q"], rows)
     print(
         f"simulated {result.shots_completed} shot(s), "
         f"{result.saturation_count} saturated samples, "
@@ -221,12 +219,7 @@ def _cmd_run(args):
         client.close()
     os.makedirs(args.out, exist_ok=True)
     acc_path = os.path.join(args.out, args.name + ".acc.csv")
-    with open(acc_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["element", "entry", "i", "q"])
-        for element in sorted(result.acc):
-            for k, (i, q) in enumerate(result.acc[element]):
-                writer.writerow([element, k, int(i), int(q)])
+    _write_acc_csv(acc_path, result.acc)
     print(
         f"remote run finished: {result.shots_completed} shot(s), "
         f"{result.fault_count} fault(s)"
@@ -256,11 +249,8 @@ def _cmd_rb(args):
     with open(json_path, "w") as fh:
         json.dump(result.to_json(), fh, indent=2)
     csv_path = os.path.join(args.out, args.name + ".survival.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["length", "survival", "survival_err"])
-        for m, s, e in zip(result.lengths, result.survival, result.survival_err):
-            writer.writerow([int(m), s, e])
+    rows = zip(map(int, result.lengths), result.survival, result.survival_err)
+    _write_csv(csv_path, ["length", "survival", "survival_err"], rows)
     status = "converged" if result.converged else "did NOT converge"
     print(
         f"fit {status}: p = {result.decay:.6f} +- {result.decay_err:.2g}, "
@@ -287,17 +277,10 @@ def _cmd_rc(args):
     with open(json_path, "w") as fh:
         json.dump(blob, fh, indent=2)
     tvd_path = os.path.join(args.out, args.name + ".tvd.csv")
-    with open(tvd_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["circuit", "bare_tvd", "rc_tvd"])
-        for i, (b, r) in enumerate(zip(report.bare_tvd, report.rc_tvd)):
-            writer.writerow([i, b, r])
+    rows = ([i, b, r] for i, (b, r) in enumerate(zip(report.bare_tvd, report.rc_tvd)))
+    _write_csv(tvd_path, ["circuit", "bare_tvd", "rc_tvd"], rows)
     stage_path = os.path.join(args.out, args.name + ".stages.csv")
-    with open(stage_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "seconds"])
-        for stage, seconds in report.stage_seconds.items():
-            writer.writerow([stage, seconds])
+    _write_csv(stage_path, ["stage", "seconds"], report.stage_seconds.items())
     print(
         f"bare TVD {report.bare_mean:.4f} +- {report.bare_std:.4f}, "
         f"RC TVD {report.rc_mean:.4f} +- {report.rc_std:.4f}, "

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -278,7 +278,7 @@ def _apply_modify(pulse, modify, chip, where):
         changes["env"] = EnvelopeSpec(
             kind=pulse.env.kind, params=merged, samples=pulse.env.samples
         )
-    return pulse.replace(**changes)
+    return replace(pulse, **changes)
 
 
 def _drive_qubit(dest: str):
@@ -393,7 +393,7 @@ class _DynamicAllocator:
             )
         self.busy.setdefault(element, []).append((n0, n1))
 
-    def place_up(self, element, words, n0, n1, label):
+    def place_up(self, element, words, n0, n1, label, source):
         hw = self.hw
         candidates = [element] + [
             e for e in range(hw.n_processing_elements_up) if e != element
@@ -464,8 +464,8 @@ class _StaticAllocator:
                     )
                 self.by_source[(name, idx)] = (ch.element, start, words)
 
-    def place_up(self, element, words, n0, n1, label, source=None):
-        if source is None or source not in self.by_source:
+    def place_up(self, element, words, n0, n1, label, source):
+        if source not in self.by_source:
             raise CompileError(
                 f"{label}: pulse has no static allocation (not part of the gate set)"
             )
@@ -649,12 +649,7 @@ def lower_to_nv(
 
         if ch.direction == "up":
             words = cache.words(tp.env, tp.twidth, tp.amp)
-            if allocator == "runc":
-                element, start = alloc.place_up(
-                    ch.element, words, n0, n1, label, source=tp.source
-                )
-            else:
-                element, start = alloc.place_up(ch.element, words, n0, n1, label)
+            element, start = alloc.place_up(ch.element, words, n0, n1, label, tp.source)
         else:
             alloc.place_down(ch.element, n0, n1, label)
             element, start = ch.element, 0

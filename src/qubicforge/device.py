@@ -36,12 +36,13 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import cmdcodec
-from .dspsim import AcqConfig, ProgramImage, Simulator
+from .dspsim import AcqConfig, ProgramImage, Simulator, acc_windows
+from .envgen import iq_lanes
 from .errors import SimulationError, TransportError
 
 MAGIC = b"QBC1"
@@ -154,12 +155,7 @@ def acq_words(acq_array) -> np.ndarray:
 
 
 def acq_from_words(words) -> np.ndarray:
-    arr = np.asarray(words, dtype=np.int64)
-    i = arr >> 16
-    q = arr & 0xFFFF
-    i = np.where(i >= 0x8000, i - 0x10000, i)
-    q = np.where(q >= 0x8000, q - 0x10000, q)
-    return np.stack([i, q], axis=1).astype(np.int32)
+    return np.stack(iq_lanes(words), axis=1).astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +238,10 @@ class DeviceServer:
 
     Holds the memory regions, executes runs on the signal-path
     simulator in a background thread, and answers the control protocol.
-    Runs proceed shot by shot so STATUS can observe progress and STOP
-    can interrupt; per-shot random streams match a single local run.
+    START prepares the staged program once; the run then takes the
+    simulator's shot loop one shot at a time, so STATUS can observe
+    progress and STOP can interrupt.  Every START numbers its shots
+    from 0, so one START of n shots equals a local run of n shots.
     """
 
     def __init__(self, hw, wiring=None, host="127.0.0.1", port=0, seed=None, cache_size=1024):
@@ -447,7 +445,7 @@ class DeviceServer:
             return self._status_reply(request, STATUS_BAD_RANGE)
         image = ProgramImage(
             commands=tuple(self.commands[:n_cmds]),
-            envelopes={e: tuple(w) for e, w in self.envelopes.items()},
+            envelopes={},
             repeat_cycles=max(1, self.control[REG_REPEAT_CYCLES]),
         )
         acq_len = self.control[REG_ACQ_LEN]
@@ -460,50 +458,41 @@ class DeviceServer:
                 tap=_ACQ_TAPS[tap_idx], unit=self.control[REG_ACQ_UNIT], length=acq_len
             )
         try:
-            # Validate the image before confirming the start.
-            self.sim.validate(image)
+            # Validate the program before confirming the start.
+            prepared = self.sim.prepare(image)
         except SimulationError as exc:
             self.log.append(f"start rejected: {exc}")
             return self._status_reply(request, STATUS_BAD_STATE)
+        # A run reads the envelope memory of the elements its commands
+        # address and of no other, so only those are copied.
+        envelopes = {e: self.envelopes[e] for e in prepared.per_element if e in self.envelopes}
+        prepared = replace(prepared, image=replace(image, envelopes=envelopes))
         self.running = True
         self.shots_completed = 0
         self._run_stop.clear()
         shots = self.control[REG_SHOTS]
         self._run_thread = threading.Thread(
-            target=self._run, args=(image, shots, acq_cfg), daemon=True
+            target=self._run, args=(prepared, shots, acq_cfg), daemon=True
         )
         self._run_thread.start()
         return self._status_reply(request, STATUS_OK)
 
-    def _run(self, image, shots, acq_cfg):
-        windows = {e: 0 for e in self.acc}
-        for word in image.commands:
-            element = cmdcodec.decode(word).element
-            if element in windows:
-                windows[element] += 1
+    def _run(self, prepared, shots, acq_cfg):
         try:
-            for shot in range(shots):
+            for shot in self.sim.shots(
+                prepared, shots, self.acc, seed=self.seed, lock=self._lock
+            ):
+                capture = None if acq_cfg is None else shot.capture(acq_cfg)
+                faults = len(shot.faults) + shot.saturation_count()
+                with self._lock:
+                    for e, entries in shot.entries.items():
+                        self.acc[e].extend(entries)
+                    if capture is not None:
+                        self.acq[: capture.shape[0]] = capture
+                    self.fault_count += faults
+                    self.shots_completed += 1
                 if self._run_stop.is_set():
                     break
-                with self._lock:
-                    depth = self.hw.acc_buffer_depth
-                    if any(
-                        len(self.acc[e]) + n > depth for e, n in windows.items() if n
-                    ):
-                        break
-                result = self.sim.run(
-                    image, shots=1, acq=acq_cfg, seed=self.seed, start_shot=shot
-                )
-                with self._lock:
-                    for e, entries in result.acc.items():
-                        self.acc.setdefault(e, [])
-                        for row in entries:
-                            self.acc[e].append((int(row[0]), int(row[1])))
-                    if acq_cfg is not None:
-                        n = result.acq.shape[0]
-                        self.acq[:n] = result.acq
-                    self.fault_count += len(result.fault_log) + result.saturation_count
-                    self.shots_completed += 1
         except SimulationError as exc:
             with self._lock:
                 self.log.append(f"run aborted: {exc}")
@@ -712,11 +701,11 @@ class DeviceClient:
             self.write_control(REG_ACQ_LEN, 0)
         self.start(shots)
         done, faults = self.wait()
-        windows = {}
-        for word in image.commands:
-            fields = cmdcodec.decode(word)
-            if fields.element >= n_up:
-                windows[fields.element] = windows.get(fields.element, 0) + 1
+        if hasattr(program, "image"):
+            fields = program.commands  # a compiled program holds them decoded
+        else:
+            fields = map(cmdcodec.decode, image.commands)
+        windows = acc_windows(fields, n_up)
         acc = {
             element: self.read_acc(element, n_windows * done)
             for element, n_windows in sorted(windows.items())

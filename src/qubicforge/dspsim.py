@@ -20,12 +20,15 @@ the same memory image produce bit-identical buffers on any host.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import cmdcodec
 from .cmdcodec import CommandFields
+from .envgen import iq_lanes
 from .errors import SimulationError
 
 FULL_SCALE = 32767
@@ -126,6 +129,30 @@ class ProgramImage:
         )
         if self.repeat_cycles < 1:
             raise SimulationError("repeat_cycles must be at least 1")
+
+
+@dataclass(frozen=True)
+class PreparedProgram:
+    """A validated image with its commands decoded, from ``Simulator.prepare``.
+
+    ``per_element`` maps each addressed element to its (buffer position,
+    CommandFields) pairs in buffer order; ``windows`` maps each down
+    element with commands to the accumulator entries one shot appends.
+    """
+
+    image: ProgramImage
+    per_element: dict
+    shot_samples: int
+    windows: dict
+
+
+def acc_windows(commands, n_up) -> Counter:
+    """Accumulator entries one shot appends, per down element with commands.
+
+    Each command on a down element (index ``n_up`` or above) is one
+    demodulation window.
+    """
+    return Counter(cmd.element for cmd in commands if cmd.element >= n_up)
 
 
 @dataclass(frozen=True)
@@ -281,11 +308,11 @@ class Simulator:
 
     # -- program loading ----------------------------------------------------
 
-    def validate(self, image: ProgramImage):
-        """Reject an image that could not execute; returns None on success."""
-        self._decode_program(image)
+    def prepare(self, image: ProgramImage) -> PreparedProgram:
+        """Decode and validate ``image`` once for every shot that runs it.
 
-    def _decode_program(self, image: ProgramImage):
+        Raises SimulationError for an image that could not execute.
+        """
         hw = self.hw
         if len(image.commands) > hw.command_buffer_depth:
             raise SimulationError(
@@ -293,9 +320,9 @@ class Simulator:
             )
         spc = hw.samples_per_cycle
         shot_samples = image.repeat_cycles * spc
+        decoded = [cmdcodec.decode(word) for word in image.commands]
         per_element = {}
-        for pos, word in enumerate(image.commands):
-            cmd = cmdcodec.decode(word)
+        for pos, cmd in enumerate(decoded):
             if cmd.element >= hw.n_elements:
                 raise SimulationError(f"command {pos}: element {cmd.element} out of range")
             hw.element_direction(cmd.element)
@@ -327,7 +354,12 @@ class Simulator:
                     )
                 last_end = max(last_end, n0 + cmd.length)
                 prev_trig = cmd.trig_t
-        return per_element, shot_samples
+        return PreparedProgram(
+            image=image,
+            per_element=per_element,
+            shot_samples=shot_samples,
+            windows=acc_windows(decoded, hw.n_processing_elements_up),
+        )
 
     def _envelope_read(self, image, element, start, length, shot, faults):
         depth = self.hw.envelope_buffer_depth
@@ -347,13 +379,8 @@ class Simulator:
             hi = depth
         avail = min(hi, len(stored))
         if avail > start:
-            words[: avail - start] = np.array(stored[start:avail], dtype=np.int64)
-        i = words >> 16
-        q = words & 0xFFFF
-        # sign extension for both 16-bit lanes
-        i = np.where(i >= 0x8000, i - 0x10000, i)
-        q = np.where(q >= 0x8000, q - 0x10000, q)
-        return i, q
+            words[: avail - start] = stored[start:avail]
+        return iq_lanes(words)
 
     @staticmethod
     def _carrier(freq_word, phase_word, n_lo, n_hi):
@@ -365,6 +392,27 @@ class Simulator:
         return cordic_cos_sin(turn)
 
     # -- execution ----------------------------------------------------------
+
+    def shots(self, prepared, shots, acc, seed=None, start_shot=0, lock=nullcontext()):
+        """Run up to ``shots`` shots of ``prepared``, yielding each finished shot.
+
+        A yielded shot holds its accumulator ``entries``, ``faults``,
+        ``flags`` and DAC sums.  Shot ``k`` draws from the random stream
+        ``(seed, k)``.  ``acc`` maps each down element to the entries its
+        accumulator holds; the caller appends every yielded shot's
+        ``entries``.  Before each shot the loop reads ``acc`` under
+        ``lock`` and stops rather than let a window overflow the
+        accumulator depth.
+        """
+        depth = self.hw.acc_buffer_depth
+        for shot in range(start_shot, start_shot + shots):
+            with lock:
+                if any(len(acc[e]) + n > depth for e, n in prepared.windows.items()):
+                    return
+            rng = np.random.default_rng(None if seed is None else (seed, shot))
+            state = _ShotState(self, prepared, shot, rng)
+            state.execute()
+            yield state
 
     def run(
         self,
@@ -380,41 +428,26 @@ class Simulator:
         random streams), so a run split into chunks reproduces a single
         contiguous run exactly.
         """
-        hw = self.hw
-        per_element, shot_samples = self._decode_program(image)
-        if acq is not None and acq.length > hw.acq_buffer_depth:
+        prepared = self.prepare(image)
+        if acq is not None and acq.length > self.hw.acq_buffer_depth:
             raise SimulationError(
-                f"acquisition length {acq.length} exceeds depth {hw.acq_buffer_depth}"
+                f"acquisition length {acq.length} exceeds depth {self.hw.acq_buffer_depth}"
             )
 
-        n_up = hw.n_processing_elements_up
-        down_elements = [e for e in per_element if e >= n_up]
-        windows_per_down = {e: len(per_element[e]) for e in down_elements}
-
-        acc = {e: [] for e in down_elements}
+        acc = {e: [] for e in prepared.windows}
         faults = []
         saturation_count = 0
         acq_capture = np.zeros((acq.length if acq else 0, 2), dtype=np.int32)
-        dac_final = {}
-        flags_final = {}
         shots_completed = 0
-
-        for shot in range(start_shot, start_shot + shots):
-            # Stop rather than overflow the accumulation buffers.
-            full = any(
-                len(acc[e]) + windows_per_down[e] > hw.acc_buffer_depth for e in down_elements
-            )
-            if full:
-                break
-            rng = np.random.default_rng(None if seed is None else (seed, shot))
-            shot_state = _ShotState(self, image, per_element, shot_samples, shot, rng, faults)
-            shot_state.execute(acc)
-            saturation_count += shot_state.saturation_count()
+        last = None  # the final shot supplies dac and flags
+        for last in self.shots(prepared, shots, acc, seed=seed, start_shot=start_shot):
+            for e, entries in last.entries.items():
+                acc[e].extend(entries)
+            faults.extend(last.faults)
+            saturation_count += last.saturation_count()
             shots_completed += 1
-            flags_final = dict(shot_state.flags)
             if acq is not None:
-                acq_capture = shot_state.capture(acq)
-            dac_final = shot_state.saturated_dac()
+                acq_capture = last.capture(acq)
 
         return SimResult(
             shots_requested=shots,
@@ -422,38 +455,38 @@ class Simulator:
             acc={e: np.array(v, dtype=np.int64).reshape(-1, 2) for e, v in acc.items()},
             acq=acq_capture,
             acq_config=acq if acq else AcqConfig(length=0),
-            dac=dac_final,
+            dac=last.saturated_dac() if last else {},
             saturation_count=saturation_count,
             fault_log=faults,
-            flags=flags_final,
+            flags=dict(last.flags) if last else {},
         )
 
 
 class _ShotState:
     """One shot's signal state: exact DAC sums, DLO taps, flags."""
 
-    def __init__(self, sim, image, per_element, shot_samples, shot, rng, faults):
+    def __init__(self, sim, prepared, shot, rng):
         self.sim = sim
-        self.image = image
+        self.image = prepared.image
         self.shot = shot
         self.rng = rng
-        self.faults = faults
-        self.shot_samples = shot_samples
+        self.faults = []
+        self.shot_samples = prepared.shot_samples
         hw = sim.hw
         self.dac_sum = {
-            p: np.zeros((shot_samples, 2), dtype=np.int64) for p in range(hw.n_dac_pairs)
+            p: np.zeros((self.shot_samples, 2), dtype=np.int64) for p in range(hw.n_dac_pairs)
         }
         self.dlo_tap = {}
         self.flags = {}
-        self.per_element = per_element
-        self._acc_rows = []
+        self.per_element = prepared.per_element
+        self.entries = {e: [] for e in prepared.windows}  # this shot's accumulator entries
 
     # Saturated view of a DAC pair over [lo, hi).
     def _dac_read(self, pair, lo, hi):
         seg = self.dac_sum[pair][lo:hi]
         return np.clip(seg, -FULL_SCALE, FULL_SCALE)
 
-    def execute(self, acc):
+    def execute(self):
         hw = self.sim.hw
         spc = hw.samples_per_cycle
         # Event order: down-window completions first at a given cycle, so
@@ -481,8 +514,7 @@ class _ShotState:
             if kind == 1:
                 self._run_up(element, cmd)
             else:
-                entry = self._run_down(element, cmd)
-                acc[element].append(entry)
+                self.entries[element].append(self._run_down(element, cmd))
 
     def _run_up(self, element, cmd):
         if cmd.length == 0:

@@ -199,21 +199,26 @@ def pack(envelope: Envelope) -> PackedEnvelope:
     return PackedEnvelope(words=tuple(int(w) for w in words))
 
 
-def _sign_extend_16(value: int) -> int:
-    return value - 0x10000 if value & 0x8000 else value
+def iq_lanes(words) -> tuple:
+    """Signed 16-bit I (upper half) and Q (lower half) of 32-bit words.
+
+    ``words`` must lie in [0, 2**32); returns two int64 arrays.
+    """
+    w = np.asarray(words, dtype=np.int64)
+    i = ((w >> 16) ^ 0x8000) - 0x8000
+    q = ((w & 0xFFFF) ^ 0x8000) - 0x8000
+    return i, q
 
 
 def unpack_words(words) -> np.ndarray:
     """Decode packed words into complex samples normalized to full scale."""
-    out = np.empty(len(words), dtype=np.complex128)
-    for k, w in enumerate(words):
-        w = int(w)  # numpy unsigned scalars wrap on the sign-extend subtract
-        if not 0 <= w < (1 << 32):
-            raise EnvelopeError(f"envelope word {w:#x} does not fit 32 bits")
-        i = _sign_extend_16((w >> 16) & 0xFFFF)
-        q = _sign_extend_16(w & 0xFFFF)
-        out[k] = (i + 1j * q) / FULL_SCALE
-    return out
+    if len(words) and not (0 <= min(words) and max(words) < 1 << 32):
+        bad = next(int(w) for w in words if not 0 <= w < 1 << 32)
+        raise EnvelopeError(f"envelope word {bad:#x} does not fit 32 bits")
+    i, q = iq_lanes(words)
+    # Divide each lane on its own: numpy's complex-by-real division
+    # multiplies by a reciprocal and can differ in the last bit.
+    return i / FULL_SCALE + 1j * (q / FULL_SCALE)
 
 
 def unpack(packed: PackedEnvelope, dt: float) -> Envelope:

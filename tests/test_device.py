@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qubicforge import TransportError
 from qubicforge.chipcfg import (
@@ -38,7 +40,7 @@ from qubicforge.device import (
     decode_packet,
     encode_packet,
 )
-from qubicforge.dspsim import AcqConfig, Loopback
+from qubicforge.dspsim import AcqConfig, Loopback, ProgramImage, Simulator
 from qubicforge import cmdcodec
 
 CHIP = load_chip_config(
@@ -106,6 +108,42 @@ HW = load_hardware_config(
         }
     )
 )
+
+
+def hw_with_acc_depth(depth):
+    return load_hardware_config(
+        json.dumps(
+            {
+                "acc_buffer_depth": depth,
+                "channel_map": {
+                    name: {
+                        "element": ch.element,
+                        "destination": ch.destination,
+                        "direction": ch.direction,
+                    }
+                    for name, ch in standard_channel_map(["Q6"]).items()
+                },
+            }
+        )
+    )
+
+
+def faulty_image(hw):
+    """Two full-scale up windows summed onto DAC pair 0 (saturating), one
+    envelope read past the end of memory, and a down window on pair 0."""
+    full = (0x7FFF << 16,) * 64
+    up = dict(trig_t=0, length=64, freq_word=1 << 20, destination=0)
+    commands = (
+        cmdcodec.CommandFields(element=0, start=0, **up),
+        cmdcodec.CommandFields(element=1, start=0, **up),
+        cmdcodec.CommandFields(element=2, start=hw.envelope_buffer_depth - 16, **up),
+        cmdcodec.CommandFields(element=hw.n_processing_elements_up, **up),
+    )
+    return ProgramImage(
+        commands=tuple(cmdcodec.encode(c) for c in commands),
+        envelopes={0: full, 1: full, 2: (0x4000 << 16,) * hw.envelope_buffer_depth},
+        repeat_cycles=32,
+    )
 
 
 def readout_program(n_reads=1):
@@ -312,21 +350,7 @@ class TestExecution:
         assert any("start rejected" in line for line in server.log)
 
     def test_acc_capacity_halts_run(self):
-        hw = load_hardware_config(
-            json.dumps(
-                {
-                    "acc_buffer_depth": 10,
-                    "channel_map": {
-                        name: {
-                            "element": ch.element,
-                            "destination": ch.destination,
-                            "direction": ch.direction,
-                        }
-                        for name, ch in standard_channel_map(["Q6"]).items()
-                    },
-                }
-            )
-        )
+        hw = hw_with_acc_depth(10)
         prog = compile_circuit(
             Circuit((GateOp("X90", ("Q6",)), GateOp("read", ("Q6",)))), CHIP, GATES, hw
         )
@@ -336,6 +360,69 @@ class TestExecution:
         assert result.shots_completed == 10
         for element in result.acc:
             assert result.acc[element].shape[0] == 10
+
+    def test_acc_capacity_counts_entries_left_from_earlier_starts(self):
+        hw = hw_with_acc_depth(10)
+        prog = compile_circuit(
+            Circuit((GateOp("X90", ("Q6",)), GateOp("read", ("Q6",)))), CHIP, GATES, hw
+        )
+        with DeviceServer(hw, wiring=Loopback(), seed=9) as srv:
+            with make_client(srv) as client:
+                first = client.run_program(prog, 4)
+                client.start(25)  # no ACC clear in between
+                done, faults = client.wait()
+                (element,) = first.acc
+                entries = client.read_acc(element, 10)
+        assert (first.shots_completed, done, faults) == (4, 6, 0)
+        # every START numbers its shots from 0
+        assert np.array_equal(entries[:4], first.acc[element])
+        assert np.array_equal(entries[4:8], first.acc[element])
+
+    @pytest.mark.parametrize("shots", [1, 3])
+    def test_remote_run_decodes_each_command_once(self, server, monkeypatch, shots):
+        prog = readout_program(n_reads=3)
+        decoded = []
+        decode = cmdcodec.decode
+        monkeypatch.setattr(cmdcodec, "decode", lambda word: decoded.append(word) or decode(word))
+        with make_client(server) as client:
+            result = client.run_program(prog, shots)
+        assert result.shots_completed == shots
+        assert sorted(decoded) == sorted(prog.image.commands)
+
+    @given(
+        faulty=st.booleans(),
+        shots=st.integers(0, 6),
+        depth=st.integers(1, 12),
+        seed=st.integers(0, 3),
+    )
+    @settings(
+        max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_one_start_equals_local_run(self, faulty, shots, depth, seed):
+        hw = hw_with_acc_depth(depth)
+        if faulty:
+            image = faulty_image(hw)
+        else:
+            image = compile_circuit(
+                Circuit((GateOp("X90", ("Q6",)), GateOp("read", ("Q6",))) * 2),
+                CHIP,
+                GATES,
+                hw,
+            ).image
+        acq = AcqConfig(tap="adc", unit=0 if faulty else 3, length=96)
+        local = Simulator(hw, wiring=Loopback()).run(image, shots=shots, acq=acq, seed=seed)
+        with DeviceServer(hw, wiring=Loopback(), seed=seed) as srv:
+            with make_client(srv) as client:
+                remote = client.run_program(
+                    image, shots, acq=acq, n_up=hw.n_processing_elements_up
+                )
+        assert remote.shots_completed == local.shots_completed
+        assert remote.fault_count == len(local.fault_log) + local.saturation_count
+        assert set(remote.acc) == set(local.acc)
+        for element in local.acc:
+            assert np.array_equal(remote.acc[element], local.acc[element])
+        if local.shots_completed:
+            assert np.array_equal(remote.acq, local.acq)
 
 
 # ---------------------------------------------------------------------------

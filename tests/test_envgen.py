@@ -180,6 +180,9 @@ class TestPacking:
     def test_unpack_words_sign_extension(self):
         vals = unpack_words([0x8001_8001])
         assert vals[0] == pytest.approx(-1.0 - 1.0j)
+        for bad in (-1, 1 << 32, 1 << 63):
+            with pytest.raises(EnvelopeError, match=f"{bad:#x} does not fit 32 bits"):
+                unpack_words([0x8001_8001, bad])
 
     @given(
         st.lists(
