@@ -36,7 +36,7 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,6 +158,27 @@ def acq_from_words(words) -> np.ndarray:
     return np.stack(iq_lanes(words), axis=1).astype(np.int32)
 
 
+def _acc_words(entries, lo, hi) -> list:
+    """Words [lo, hi) of ACC entries laid out as I then Q, two's complement."""
+    pairs = entries[lo // 2 : (hi + 1) // 2]
+    words = [w & 0xFFFFFFFF for pair in pairs for w in pair]
+    return words[lo % 2 : lo % 2 + hi - lo]
+
+
+class _ReadOnlyWords:
+    """A region of ``n`` words that serializes only the slice it is asked for."""
+
+    def __init__(self, n, read):
+        self.n = n
+        self.read = read  # read(lo, hi) -> words [lo, hi)
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, s):
+        return self.read(s.start, s.stop)
+
+
 # ---------------------------------------------------------------------------
 # Transports
 
@@ -238,10 +259,11 @@ class DeviceServer:
 
     Holds the memory regions, executes runs on the signal-path
     simulator in a background thread, and answers the control protocol.
-    START prepares the staged program once; the run then takes the
-    simulator's shot loop one shot at a time, so STATUS can observe
-    progress and STOP can interrupt.  Every START numbers its shots
-    from 0, so one START of n shots equals a local run of n shots.
+    START prepares (decodes, validates and synthesizes) the staged
+    program once; the run then takes the simulator's shot loop one shot
+    at a time, so STATUS can observe progress and STOP can interrupt.
+    Every START numbers its shots from 0, so one START of n shots equals
+    a local run of n shots.
     """
 
     def __init__(self, hw, wiring=None, host="127.0.0.1", port=0, seed=None, cache_size=1024):
@@ -379,13 +401,11 @@ class DeviceServer:
             entries = self.acc.get(unit)
             if entries is None:
                 return None
-            words = []
-            for i, q in entries:
-                words.append(i & 0xFFFFFFFF)
-                words.append(q & 0xFFFFFFFF)
+            words = _ReadOnlyWords(2 * len(entries), lambda lo, hi: _acc_words(entries, lo, hi))
             return words, 4, False
         if region == REGION_ACQ:
-            return list(acq_words(self.acq)), 4, False
+            words = _ReadOnlyWords(len(self.acq), lambda lo, hi: acq_words(self.acq[lo:hi]))
+            return words, 4, False
         if region == REGION_CONTROL:
             return self.control, 4, True
         return None
@@ -433,7 +453,8 @@ class DeviceServer:
         if request.offset + count > len(store):
             return self._status_reply(request, STATUS_BAD_RANGE)
         payload = b"".join(
-            int(store[request.offset + k]).to_bytes(word_size, "big") for k in range(count)
+            int(w).to_bytes(word_size, "big")
+            for w in store[request.offset : request.offset + count]
         )
         return self._status_reply(request, STATUS_OK, payload)
 
@@ -458,15 +479,12 @@ class DeviceServer:
                 tap=_ACQ_TAPS[tap_idx], unit=self.control[REG_ACQ_UNIT], length=acq_len
             )
         try:
-            # Validate the program before confirming the start.
-            prepared = self.sim.prepare(image)
+            # Validate and synthesize the program before confirming the
+            # start; the run no longer reads envelope memory.
+            prepared = self.sim.prepare(image, envelopes=self.envelopes)
         except SimulationError as exc:
             self.log.append(f"start rejected: {exc}")
             return self._status_reply(request, STATUS_BAD_STATE)
-        # A run reads the envelope memory of the elements its commands
-        # address and of no other, so only those are copied.
-        envelopes = {e: self.envelopes[e] for e in prepared.per_element if e in self.envelopes}
-        prepared = replace(prepared, image=replace(image, envelopes=envelopes))
         self.running = True
         self.shots_completed = 0
         self._run_stop.clear()

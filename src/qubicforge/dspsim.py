@@ -14,7 +14,10 @@ sample at a time:
 * accumulation and raw-acquisition capture buffers.
 
 Every arithmetic step is integer and fully deterministic, so two runs of
-the same memory image produce bit-identical buffers on any host.
+the same memory image produce bit-identical buffers on any host.  What
+depends only on the image (carriers and up-conversion products) is
+synthesized once per prepared program; each shot sums the stored
+products onto the DAC pairs and runs gating, demodulation and capture.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +100,11 @@ def cordic_cos_sin(turn_words) -> tuple:
     return cos, sin
 
 
+def _per_sample(values, lengths):
+    """Repeat each window's value once per sample of the window."""
+    return np.repeat(np.asarray(values, dtype=np.int64), lengths)
+
+
 def _div_full_scale(v):
     """Divide by 32767 with round-half-away-from-zero, elementwise."""
     v = np.asarray(v, dtype=np.int64)
@@ -133,17 +142,36 @@ class ProgramImage:
 
 @dataclass(frozen=True)
 class PreparedProgram:
-    """A validated image with its commands decoded, from ``Simulator.prepare``.
+    """A validated image with its signals synthesized, from ``Simulator.prepare``.
 
-    ``per_element`` maps each addressed element to its (buffer position,
-    CommandFields) pairs in buffer order; ``windows`` maps each down
-    element with commands to the accumulator entries one shot appends.
+    ``events`` holds the shot's windows in execution order; ``windows``
+    maps each down element with commands to the accumulator entries one
+    shot appends.
     """
 
-    image: ProgramImage
-    per_element: dict
     shot_samples: int
     windows: dict
+    events: tuple
+
+
+class _Window(NamedTuple):
+    """One command's window [n0, n1), synthesized once by ``prepare``.
+
+    ``samples`` is an (n1 - n0, 2) int32 array: the unsaturated DAC
+    contribution of an up window, or the LO carrier of a down window.
+    ``source`` is the element whose flag gates a conditional command
+    (None when unconditional); ``fault`` describes an envelope read
+    beyond depth, logged in every shot the window runs.
+    """
+
+    up: bool
+    element: int
+    destination: int
+    n0: int
+    n1: int
+    samples: np.ndarray
+    source: int | None
+    fault: str | None
 
 
 def acc_windows(commands, n_up) -> Counter:
@@ -308,9 +336,11 @@ class Simulator:
 
     # -- program loading ----------------------------------------------------
 
-    def prepare(self, image: ProgramImage) -> PreparedProgram:
-        """Decode and validate ``image`` once for every shot that runs it.
+    def prepare(self, image: ProgramImage, envelopes=None) -> PreparedProgram:
+        """Decode, validate and synthesize ``image`` once for every shot that runs it.
 
+        ``envelopes``, when given, is the envelope memory read in place of
+        ``image.envelopes``; the result holds no reference to either.
         Raises SimulationError for an image that could not execute.
         """
         hw = self.hw
@@ -354,42 +384,91 @@ class Simulator:
                     )
                 last_end = max(last_end, n0 + cmd.length)
                 prev_trig = cmd.trig_t
+            if any(cmd.condition for _, cmd in cmds) and self.condition_map.get(element) is None:
+                raise SimulationError(
+                    f"element {element} has a conditional command but no flag source"
+                )
+
         return PreparedProgram(
-            image=image,
-            per_element=per_element,
             shot_samples=shot_samples,
             windows=acc_windows(decoded, hw.n_processing_elements_up),
+            events=self._synthesize(
+                image.envelopes if envelopes is None else envelopes, per_element
+            ),
         )
 
-    def _envelope_read(self, image, element, start, length, shot, faults):
-        depth = self.hw.envelope_buffer_depth
-        words = np.zeros(length, dtype=np.int64)
-        stored = image.envelopes.get(element, ())
-        hi = start + length
-        if hi > depth:
-            faults.append(
-                FaultEntry(
-                    shot=shot,
-                    element=element,
-                    cycle=0,
-                    kind="envelope_oob",
-                    detail=f"read [{start}, {hi}) beyond depth {depth}; zeros emitted",
-                )
-            )
-            hi = depth
-        avail = min(hi, len(stored))
-        if avail > start:
-            words[: avail - start] = stored[start:avail]
-        return iq_lanes(words)
+    def _synthesize(self, envelopes, per_element):
+        """Every window's samples from one CORDIC call, in execution order.
 
-    @staticmethod
-    def _carrier(freq_word, phase_word, n_lo, n_hi):
-        """CORDIC carrier over absolute sample indices [n_lo, n_hi)."""
-        n = np.arange(n_lo, n_hi, dtype=np.int64)
-        turn = ((phase_word << (_TURN_BITS - cmdcodec.PHASE_WORD_BITS)) + freq_word * n) & (
+        Down windows complete before up windows trigger on the same
+        cycle, so a conditional command triggering on that cycle sees
+        the flag.  A zero-length up window emits nothing and is dropped.
+        """
+        hw = self.hw
+        spc = hw.samples_per_cycle
+        depth = hw.envelope_buffer_depth
+        ups, downs = [], []
+        for element, cmds in per_element.items():
+            down = hw.element_direction(element) == "down"
+            for pos, cmd in cmds:
+                if down:
+                    downs.append(((cmd.trig_t + -(-cmd.length // spc), 0, element, pos), cmd))
+                elif cmd.length:
+                    ups.append(((cmd.trig_t, 1, element, pos), cmd))
+        # Up windows lead, so envelope mixing covers one block of samples.
+        windows = ups + downs
+        lengths = [cmd.length for _, cmd in windows]
+        bounds = np.cumsum([0] + lengths)
+        offset = np.arange(bounds[-1]) - _per_sample(bounds[:-1], lengths)
+        n = _per_sample([cmd.trig_t * spc for _, cmd in windows], lengths) + offset
+        phase = [cmd.phase_word << (_TURN_BITS - cmdcodec.PHASE_WORD_BITS) for _, cmd in windows]
+        freq = [cmd.freq_word for _, cmd in windows]
+        turn = (_per_sample(phase, lengths) + _per_sample(freq, lengths) * n) & (
             (1 << _TURN_BITS) - 1
         )
-        return cordic_cos_sin(turn)
+        cos, sin = cordic_cos_sin(turn)
+        samples = np.stack((cos, sin), axis=1).astype(np.int32)
+
+        # One row of envelope memory per up element, and a zero column
+        # that reads beyond depth land on.
+        row_of = {}
+        for (_, _, element, _), _ in ups:
+            row_of.setdefault(element, len(row_of))
+        memory = np.zeros((len(row_of), depth + 1), dtype=np.int64)
+        for element, row in row_of.items():
+            stored = envelopes.get(element, ())[:depth]
+            memory[row, : len(stored)] = stored
+        up_samples = bounds[len(ups)]
+        up_lengths = lengths[: len(ups)]
+        rows = _per_sample([row_of[key[2]] for key, _ in ups], up_lengths)
+        start = _per_sample([cmd.start for _, cmd in ups], up_lengths)
+        ei, eq = iq_lanes(memory[rows, np.minimum(start + offset[:up_samples], depth)])
+        ci, cq = cos[:up_samples], sin[:up_samples]
+        samples[:up_samples, 0] = _div_full_scale(ei * ci - eq * cq)
+        samples[:up_samples, 1] = _div_full_scale(ei * cq + eq * ci)
+
+        events = []
+        for (key, cmd), lo, hi in zip(windows, bounds, bounds[1:]):
+            _, kind, element, _ = key
+            n0 = cmd.trig_t * spc
+            end = cmd.start + cmd.length
+            window = _Window(
+                up=kind == 1,
+                element=element,
+                destination=cmd.destination,
+                n0=n0,
+                n1=n0 + cmd.length,
+                samples=samples[lo:hi],
+                source=self.condition_map[element] if cmd.condition else None,
+                fault=(
+                    f"read [{cmd.start}, {end}) beyond depth {depth}; zeros emitted"
+                    if kind == 1 and end > depth
+                    else None
+                ),
+            )
+            events.append((key, window))
+        events.sort(key=lambda ev: ev[0])
+        return tuple(window for _, window in events)
 
     # -- execution ----------------------------------------------------------
 
@@ -467,18 +546,17 @@ class _ShotState:
 
     def __init__(self, sim, prepared, shot, rng):
         self.sim = sim
-        self.image = prepared.image
         self.shot = shot
         self.rng = rng
         self.faults = []
         self.shot_samples = prepared.shot_samples
-        hw = sim.hw
+        self.events = prepared.events
         self.dac_sum = {
-            p: np.zeros((self.shot_samples, 2), dtype=np.int64) for p in range(hw.n_dac_pairs)
+            p: np.zeros((self.shot_samples, 2), dtype=np.int64)
+            for p in range(sim.hw.n_dac_pairs)
         }
         self.dlo_tap = {}
         self.flags = {}
-        self.per_element = prepared.per_element
         self.entries = {e: [] for e in prepared.windows}  # this shot's accumulator entries
 
     # Saturated view of a DAC pair over [lo, hi).
@@ -487,63 +565,24 @@ class _ShotState:
         return np.clip(seg, -FULL_SCALE, FULL_SCALE)
 
     def execute(self):
-        hw = self.sim.hw
-        spc = hw.samples_per_cycle
-        # Event order: down-window completions first at a given cycle, so
-        # a conditional command triggering on that cycle sees the flag.
-        events = []
-        for element, cmds in self.per_element.items():
-            direction = hw.element_direction(element)
-            for pos, cmd in cmds:
-                if direction == "up":
-                    events.append((cmd.trig_t, 1, element, pos, cmd))
-                else:
-                    end_cycle = cmd.trig_t + -(-cmd.length // spc)
-                    events.append((end_cycle, 0, element, pos, cmd))
-        events.sort(key=lambda ev: (ev[0], ev[1], ev[2], ev[3]))
+        for w in self.events:
+            if w.source is not None and not self.flags.get(w.source, 0):
+                continue
+            if not w.up:
+                self.entries[w.element].append(self._run_down(w))
+                continue
+            if w.fault is not None:
+                self.faults.append(FaultEntry(self.shot, w.element, 0, "envelope_oob", w.fault))
+            self.dac_sum[w.destination][w.n0 : w.n1] += w.samples
 
-        for cycle, kind, element, pos, cmd in events:
-            if cmd.condition:
-                source = self.sim.condition_map.get(element)
-                if source is None:
-                    raise SimulationError(
-                        f"element {element} has a conditional command but no flag source"
-                    )
-                if not self.flags.get(source, 0):
-                    continue
-            if kind == 1:
-                self._run_up(element, cmd)
-            else:
-                self.entries[element].append(self._run_down(element, cmd))
-
-    def _run_up(self, element, cmd):
-        if cmd.length == 0:
-            return
-        hw = self.sim.hw
-        n0 = cmd.trig_t * hw.samples_per_cycle
-        n1 = n0 + cmd.length
-        ei, eq = self.sim._envelope_read(
-            self.image, element, cmd.start, cmd.length, self.shot, self.faults
-        )
-        ci, cq = self.sim._carrier(cmd.freq_word, cmd.phase_word, n0, n1)
-        out_i = _div_full_scale(ei * ci - eq * cq)
-        out_q = _div_full_scale(ei * cq + eq * ci)
-        dest = self.dac_sum[cmd.destination]
-        dest[n0:n1, 0] += out_i
-        dest[n0:n1, 1] += out_q
-
-    def _run_down(self, element, cmd):
-        hw = self.sim.hw
-        n0 = cmd.trig_t * hw.samples_per_cycle
-        n1 = n0 + cmd.length
+    def _run_down(self, w):
         adc = self.sim.wiring.read(
-            self.shot, cmd.destination, n0, n1, self._dac_read, self.rng
+            self.shot, w.destination, w.n0, w.n1, self._dac_read, self.rng
         )
-        ci, cq = self.sim._carrier(cmd.freq_word, cmd.phase_word, n0, n1)
-        if element not in self.dlo_tap:
-            self.dlo_tap[element] = np.zeros((self.shot_samples, 2), dtype=np.int64)
-        self.dlo_tap[element][n0:n1, 0] = ci
-        self.dlo_tap[element][n0:n1, 1] = cq
+        if w.element not in self.dlo_tap:
+            self.dlo_tap[w.element] = np.zeros((self.shot_samples, 2), dtype=np.int64)
+        self.dlo_tap[w.element][w.n0 : w.n1] = w.samples
+        ci, cq = w.samples.T.astype(np.int64)
         ai = adc[:, 0]
         aq = adc[:, 1]
         # conj(dlo) demodulation with exact wide accumulation; one final
@@ -552,8 +591,8 @@ class _ShotState:
         sum_q = int(np.sum(aq * ci - ai * cq))
         entry_i = int(_div_full_scale(np.int64(sum_i)))
         entry_q = int(_div_full_scale(np.int64(sum_q)))
-        classifier = self.sim.classifier_map.get(element, StateClassifier())
-        self.flags[element] = classifier.classify(entry_i, entry_q)
+        classifier = self.sim.classifier_map.get(w.element, StateClassifier())
+        self.flags[w.element] = classifier.classify(entry_i, entry_q)
         return (entry_i, entry_q)
 
     def saturation_count(self):

@@ -28,6 +28,8 @@ from qubicforge.device import (
     REG_N_COMMANDS,
     REG_REPEAT_CYCLES,
     REG_SHOTS,
+    REGION_ACC,
+    REGION_ACQ,
     REGION_COMMAND,
     REGION_ENVELOPE,
     DeviceClient,
@@ -41,7 +43,7 @@ from qubicforge.device import (
     encode_packet,
 )
 from qubicforge.dspsim import AcqConfig, Loopback, ProgramImage, Simulator
-from qubicforge import cmdcodec
+from qubicforge import cmdcodec, dspsim
 
 CHIP = load_chip_config(
     json.dumps(
@@ -276,6 +278,27 @@ class TestMemoryAccess:
             with pytest.raises(TransportError, match="bad range"):
                 client.read_region(REGION_ENVELOPE, 0, HW.envelope_buffer_depth - 1, 2)
 
+    def test_acc_and_acq_reads_serve_any_slice(self, server):
+        prog = readout_program(n_reads=2)
+        acq = AcqConfig(tap="adc", unit=3, length=400)
+        with make_client(server) as client:
+            result = client.run_program(prog, 5, acq=acq)
+            (element,) = result.acc
+            acc = [w & 0xFFFFFFFF for pair in result.acc[element].tolist() for w in pair]
+            assert client.read_region(REGION_ACC, element, 0, 20) == acc
+            for lo, hi in [(0, 1), (1, 2), (1, 20), (3, 8), (19, 20), (20, 20)]:
+                assert client.read_region(REGION_ACC, element, lo, hi - lo) == acc[lo:hi]
+            depth = HW.acq_buffer_depth
+            captured = client.read_region(REGION_ACQ, 0, 0, depth)  # several datagrams
+            assert captured[:400] == acq_words(result.acq).tolist()
+            assert captured[400:] == [0] * (depth - 400)
+            assert client.read_region(REGION_ACQ, 0, 397, 5) == captured[397:402]
+            for region, offset, count in [(REGION_ACC, 19, 2), (REGION_ACQ, depth - 1, 2)]:
+                with pytest.raises(TransportError, match="bad range"):
+                    client._request(
+                        OP_READ, region=region, unit=element, offset=offset, count=count
+                    )
+
     def test_write_while_idle_only(self, server):
         prog = readout_program()
         with make_client(server) as client:
@@ -388,6 +411,32 @@ class TestExecution:
             result = client.run_program(prog, shots)
         assert result.shots_completed == shots
         assert sorted(decoded) == sorted(prog.image.commands)
+
+    @pytest.mark.parametrize("shots", [1, 3])
+    def test_remote_run_synthesizes_once(self, server, monkeypatch, shots):
+        prog = readout_program(n_reads=3)
+        calls = []
+        cordic = dspsim.cordic_cos_sin
+        monkeypatch.setattr(
+            dspsim, "cordic_cos_sin", lambda words: calls.append(len(words)) or cordic(words)
+        )
+        with make_client(server) as client:
+            result = client.run_program(prog, shots)
+        assert result.shots_completed == shots
+        assert calls == [sum(cmd.length for cmd in prog.commands)]
+
+    def test_conditional_command_without_flag_source_rejected(self, server):
+        # the default condition map gates up elements only
+        n_up = HW.n_processing_elements_up
+        word = cmdcodec.encode(cmdcodec.CommandFields(element=n_up, length=32, condition=1))
+        image = ProgramImage(commands=(word,), envelopes={}, repeat_cycles=16)
+        with make_client(server) as client:
+            with pytest.raises(TransportError, match="bad state"):
+                client.run_program(image, 1, n_up=n_up)
+            assert client.status() == (False, 0, 0)
+        assert server.log == [
+            f"start rejected: element {n_up} has a conditional command but no flag source"
+        ]
 
     @given(
         faulty=st.booleans(),

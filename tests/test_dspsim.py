@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from qubicforge import SimulationError
 from qubicforge.chipcfg import load_hardware_config
-from qubicforge.cmdcodec import CommandFields, encode
+from qubicforge import dspsim
+from qubicforge.cmdcodec import PHASE_WORD_BITS, CommandFields, decode, encode
 from qubicforge.dspsim import (
     FULL_SCALE,
     AcqConfig,
@@ -21,7 +22,7 @@ from qubicforge.dspsim import (
     _div_full_scale,
     cordic_cos_sin,
 )
-from qubicforge.envgen import EnvelopeSpec, generate, pack
+from qubicforge.envgen import EnvelopeSpec, generate, iq_lanes, pack
 
 HW = load_hardware_config("{}")
 TURNS = 1 << 24
@@ -217,9 +218,12 @@ class TestUpPath:
         image = ProgramImage(
             commands=[up_cmd(start=1020, length=96)], envelopes={0: words}, repeat_cycles=32
         )
-        res = Simulator(HW).run(image)
+        res = Simulator(HW).run(image, shots=3)
         assert np.all(res.dac[0][:96] == 0)  # stored words end at 96 anyway
-        assert any(f.kind == "envelope_oob" for f in res.fault_log)
+        # found once when the program is prepared, logged in every shot
+        assert [(f.shot, f.kind) for f in res.fault_log] == [
+            (shot, "envelope_oob") for shot in range(3)
+        ]
 
     def test_determinism(self):
         words, _ = env_words(kind="DRAG", sigma_fraction=0.25, alpha=0.5)
@@ -383,13 +387,13 @@ class TestRoundtrip:
 
 
 class TestConditionalGating:
-    def make_image(self, condition):
+    def make_image(self, condition, trig_t=30):
         words, _ = env_words()
         # down window completes at cycle 24, conditional pulse at cycle 30
         return ProgramImage(
             commands=[
                 down_cmd(element=16, trig_t=0, length=96),
-                up_cmd(element=0, trig_t=30, length=96, condition=condition),
+                up_cmd(element=0, trig_t=trig_t, length=96, condition=condition),
             ],
             envelopes={0: words},
             repeat_cycles=64,
@@ -424,6 +428,15 @@ class TestConditionalGating:
         assert res.flags[16] == 0
         assert np.all(res.dac[0] == 0)
 
+    def test_flag_seen_on_its_completion_cycle(self):
+        sim = Simulator(
+            HW,
+            wiring=External(self.injecting(20000)),
+            classifier_map={16: StateClassifier(angle=0.0, threshold=1000.0)},
+        )
+        res = sim.run(self.make_image(condition=1, trig_t=24))
+        assert np.any(res.dac[0][:, 0] == FULL_SCALE)
+
     def test_unconditional_ignores_flag(self):
         sim = Simulator(
             HW,
@@ -443,6 +456,19 @@ class TestConditionalGating:
         sim = Simulator(HW, condition_map={})
         with pytest.raises(SimulationError, match="flag source"):
             sim.run(image)
+
+    def test_missing_flag_source_rejected_before_any_shot(self):
+        # the default condition map gates up elements only
+        image = ProgramImage(
+            commands=[down_cmd(element=16, length=96, condition=1)],
+            envelopes={},
+            repeat_cycles=32,
+        )
+        sim = Simulator(HW)
+        with pytest.raises(SimulationError, match="element 16 has a conditional command"):
+            sim.prepare(image)
+        with pytest.raises(SimulationError, match="no flag source"):
+            sim.run(image, shots=0)
 
     def test_classifier_rotation(self):
         clf = StateClassifier(angle=math.pi / 2, threshold=0.0)
@@ -469,3 +495,157 @@ class TestAcquisition:
         res = Simulator(HW).run(image, acq=AcqConfig(tap="dlo", unit=16, length=64))
         assert np.all(res.acq[:16] == 0)
         assert res.acq[16, 0] == FULL_SCALE  # cos at phase 0
+
+
+# ---------------------------------------------------------------------------
+# Synthesis once per prepared program
+
+
+def per_window_run(image, shots, delay):
+    """The per-window algorithm: one CORDIC call per window per shot.
+
+    Runs ``image`` under ``Loopback(delay)`` with the default condition
+    map and classifiers.  Returns the accumulator entries, the final
+    shot's saturated DAC pairs and LO taps, and the fault log as
+    (shot, element, kind, detail) tuples.
+    """
+    spc = HW.samples_per_cycle
+    depth = HW.envelope_buffer_depth
+    n_up = HW.n_processing_elements_up
+    n_samples = image.repeat_cycles * spc
+    events = []
+    for pos, cmd in enumerate(decode(w) for w in image.commands):
+        if cmd.element < n_up:
+            events.append((cmd.trig_t, 1, cmd.element, pos, cmd))
+        else:
+            events.append((cmd.trig_t + -(-cmd.length // spc), 0, cmd.element, pos, cmd))
+    events.sort(key=lambda ev: ev[:4])
+    acc = {ev[2]: [] for ev in events if ev[1] == 0}
+    faults = []
+    for shot in range(shots):
+        dac = np.zeros((HW.n_dac_pairs, n_samples, 2), dtype=np.int64)
+        dlo = {}
+        flags = {}
+        for _, up, element, _, cmd in events:
+            if cmd.condition and not flags.get(n_up + element, 0):
+                continue
+            if up and cmd.length == 0:
+                continue
+            n0 = cmd.trig_t * spc
+            n1 = n0 + cmd.length
+            turn = (cmd.phase_word << (24 - PHASE_WORD_BITS)) + cmd.freq_word * np.arange(n0, n1)
+            ci, cq = cordic_cos_sin(turn % TURNS)
+            if up:
+                hi = cmd.start + cmd.length
+                if hi > depth:
+                    detail = f"read [{cmd.start}, {hi}) beyond depth {depth}; zeros emitted"
+                    faults.append((shot, element, "envelope_oob", detail))
+                stored = image.envelopes.get(element, ())[: min(hi, depth)]
+                words = np.zeros(cmd.length, dtype=np.int64)
+                words[: max(len(stored) - cmd.start, 0)] = stored[cmd.start :]
+                ei, eq = iq_lanes(words)
+                dac[cmd.destination, n0:n1, 0] += _div_full_scale(ei * ci - eq * cq)
+                dac[cmd.destination, n0:n1, 1] += _div_full_scale(ei * cq + eq * ci)
+                continue
+            seen = np.clip(dac[cmd.destination], -FULL_SCALE, FULL_SCALE)
+            adc = np.zeros((cmd.length, 2), dtype=np.int64)
+            lo = max(n0, delay)
+            if n1 > lo:
+                adc[lo - n0 :] = seen[lo - delay : n1 - delay]
+            dlo.setdefault(element, np.zeros((n_samples, 2), dtype=np.int64))
+            dlo[element][n0:n1] = np.stack((ci, cq), axis=1)
+            sum_i = int(np.sum(adc[:, 0] * ci + adc[:, 1] * cq))
+            sum_q = int(np.sum(adc[:, 1] * ci - adc[:, 0] * cq))
+            entry = (int(_div_full_scale(sum_i)), int(_div_full_scale(sum_q)))
+            flags[element] = 1 if entry[0] > 0 else 0
+            acc[element].append(entry)
+    dac = np.clip(dac, -FULL_SCALE, FULL_SCALE)
+    return acc, dac, dlo, faults
+
+
+@st.composite
+def window_images(draw):
+    """Images with random carriers, odd lengths, zero-length windows,
+    envelope reads past depth and conditional up commands."""
+    n_up = HW.n_processing_elements_up
+    spc = HW.samples_per_cycle
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    elements = draw(st.lists(st.sampled_from([0, 1, 2, n_up, n_up + 1]), unique=True))
+    fields = []
+    end_cycle = 1
+    completions = {}  # down element -> cycles its windows complete on
+    for element in sorted(elements, reverse=True):  # down elements first
+        up = element < n_up
+        cycle = 0
+        for _ in range(draw(st.integers(1, 5))):
+            # An up window may trigger on the cycle its flag source's
+            # window completes.
+            meets = [c for c in completions.get(n_up + element, ()) if c >= cycle]
+            cycle = draw(st.integers(cycle, cycle + 6) | st.sampled_from(meets or [cycle]))
+            length = draw(st.integers(0, 9) | st.integers(10, 70))
+            fields.append(
+                CommandFields(
+                    trig_t=cycle,
+                    start=draw(st.integers(0, 1100) | st.integers(990, 4095)) if up else 0,
+                    length=length,
+                    freq_word=draw(st.integers(0, TURNS - 1)),
+                    phase_word=draw(st.integers(0, 2**PHASE_WORD_BITS - 1)),
+                    element=element,
+                    destination=draw(st.just(0) | st.integers(1, HW.n_dac_pairs - 1)),
+                    condition=draw(st.integers(0, 1)) if up else 0,
+                )
+            )
+            cycle += -(-length // spc)
+            completions.setdefault(element, []).append(cycle)
+        end_cycle = max(end_cycle, cycle)
+    fields.sort(key=lambda c: c.trig_t)  # stable: each element keeps its order
+    envelopes = {
+        e: rng.integers(0, 2**32, draw(st.integers(0, 1100) | st.just(1100))).tolist()
+        for e in elements
+        if e < n_up
+    }
+    return ProgramImage(
+        commands=[encode(c) for c in fields],
+        envelopes=envelopes,
+        repeat_cycles=end_cycle + draw(st.integers(0, 3)),
+    )
+
+
+class TestSynthesisOnce:
+    @given(
+        image=window_images(),
+        shots=st.integers(1, 3),
+        delay=st.sampled_from([0, 3]),
+        tap=st.sampled_from([16, 17]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_window_algorithm(self, image, shots, delay, tap):
+        n_samples = image.repeat_cycles * HW.samples_per_cycle
+        res = Simulator(HW, wiring=Loopback(delay)).run(
+            image, shots=shots, acq=AcqConfig(tap="dlo", unit=tap, length=n_samples)
+        )
+        acc, dac, dlo, faults = per_window_run(image, shots, delay)
+        assert set(res.acc) == set(acc)
+        for element, entries in acc.items():
+            assert res.acc[element].tolist() == [list(e) for e in entries]
+        for pair in range(HW.n_dac_pairs):
+            assert np.array_equal(res.dac[pair], dac[pair])
+        assert np.array_equal(res.acq, dlo.get(tap, np.zeros((n_samples, 2))))
+        assert [(f.shot, f.element, f.kind, f.detail) for f in res.fault_log] == faults
+
+    @pytest.mark.parametrize("shots", [1, 3])
+    def test_one_cordic_call_per_prepare(self, monkeypatch, shots):
+        words, _ = env_words()
+        image = ProgramImage(
+            commands=[up_cmd(length=96, freq=50e6), down_cmd(length=90, freq=50e6)],
+            envelopes={0: words},
+            repeat_cycles=32,
+        )
+        calls = []
+        cordic = dspsim.cordic_cos_sin
+        monkeypatch.setattr(
+            dspsim, "cordic_cos_sin", lambda words: calls.append(len(words)) or cordic(words)
+        )
+        res = Simulator(HW, wiring=Loopback(0)).run(image, shots=shots)
+        assert res.shots_completed == shots
+        assert calls == [96 + 90]
