@@ -158,27 +158,6 @@ def acq_from_words(words) -> np.ndarray:
     return np.stack(iq_lanes(words), axis=1).astype(np.int32)
 
 
-def _acc_words(entries, lo, hi) -> list:
-    """Words [lo, hi) of ACC entries laid out as I then Q, two's complement."""
-    pairs = entries[lo // 2 : (hi + 1) // 2]
-    words = [w & 0xFFFFFFFF for pair in pairs for w in pair]
-    return words[lo % 2 : lo % 2 + hi - lo]
-
-
-class _ReadOnlyWords:
-    """A region of ``n`` words that serializes only the slice it is asked for."""
-
-    def __init__(self, n, read):
-        self.n = n
-        self.read = read  # read(lo, hi) -> words [lo, hi)
-
-    def __len__(self):
-        return self.n
-
-    def __getitem__(self, s):
-        return self.read(s.start, s.stop)
-
-
 # ---------------------------------------------------------------------------
 # Transports
 
@@ -259,11 +238,11 @@ class DeviceServer:
 
     Holds the memory regions, executes runs on the signal-path
     simulator in a background thread, and answers the control protocol.
-    START prepares (decodes, validates and synthesizes) the staged
-    program once; the run then takes the simulator's shot loop one shot
-    at a time, so STATUS can observe progress and STOP can interrupt.
-    Every START numbers its shots from 0, so one START of n shots equals
-    a local run of n shots.
+    START prepares (decodes and validates) the staged program once; the
+    run thread synthesizes its signals and then takes the simulator's
+    shot loop one shot at a time, so STATUS can observe progress and
+    STOP can interrupt.  Every START numbers its shots from 0, so one
+    START of n shots equals a local run of n shots.
     """
 
     def __init__(self, hw, wiring=None, host="127.0.0.1", port=0, seed=None, cache_size=1024):
@@ -401,11 +380,14 @@ class DeviceServer:
             entries = self.acc.get(unit)
             if entries is None:
                 return None
-            words = _ReadOnlyWords(2 * len(entries), lambda lo, hi: _acc_words(entries, lo, hi))
+            words = []
+            for i, q in entries:
+                words.append(i & 0xFFFFFFFF)
+                words.append(q & 0xFFFFFFFF)
             return words, 4, False
         if region == REGION_ACQ:
-            words = _ReadOnlyWords(len(self.acq), lambda lo, hi: acq_words(self.acq[lo:hi]))
-            return words, 4, False
+            # One word per I/Q row; _op_read packs only the rows it serves.
+            return self.acq, 4, False
         if region == REGION_CONTROL:
             return self.control, 4, True
         return None
@@ -452,10 +434,10 @@ class DeviceServer:
             return self._status_reply(request, STATUS_BAD_RANGE)
         if request.offset + count > len(store):
             return self._status_reply(request, STATUS_BAD_RANGE)
-        payload = b"".join(
-            int(w).to_bytes(word_size, "big")
-            for w in store[request.offset : request.offset + count]
-        )
+        words = store[request.offset : request.offset + count]
+        if request.region == REGION_ACQ:
+            words = acq_words(words)
+        payload = b"".join(int(w).to_bytes(word_size, "big") for w in words)
         return self._status_reply(request, STATUS_OK, payload)
 
     def _op_start(self, request):
@@ -479,8 +461,8 @@ class DeviceServer:
                 tap=_ACQ_TAPS[tap_idx], unit=self.control[REG_ACQ_UNIT], length=acq_len
             )
         try:
-            # Validate and synthesize the program before confirming the
-            # start; the run no longer reads envelope memory.
+            # Validate the program, and copy the envelope memory it reads,
+            # before confirming the start.
             prepared = self.sim.prepare(image, envelopes=self.envelopes)
         except SimulationError as exc:
             self.log.append(f"start rejected: {exc}")

@@ -16,8 +16,9 @@ sample at a time:
 Every arithmetic step is integer and fully deterministic, so two runs of
 the same memory image produce bit-identical buffers on any host.  What
 depends only on the image (carriers and up-conversion products) is
-synthesized once per prepared program; each shot sums the stored
-products onto the DAC pairs and runs gating, demodulation and capture.
+synthesized once per run, before its first shot, in blocks of bounded
+size; each shot sums the stored products onto the DAC pairs and runs
+gating, demodulation and capture.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ _X_INIT = round(FULL_SCALE / _CORDIC_GAIN * (1 << _GUARD_BITS))
 
 _TURN_BITS = cmdcodec.FREQ_WORD_BITS  # 24-bit turn words
 _QUARTER_SHIFT = _TURN_BITS - 2
+
+# Samples synthesized per CORDIC call: bounds the temporaries of a run's
+# synthesis, whatever the program's size.
+_SYNTH_BLOCK = 1 << 14
 
 
 def cordic_cos_sin(turn_words) -> tuple:
@@ -142,36 +147,51 @@ class ProgramImage:
 
 @dataclass(frozen=True)
 class PreparedProgram:
-    """A validated image with its signals synthesized, from ``Simulator.prepare``.
+    """A validated image, from ``Simulator.prepare``.
 
-    ``events`` holds the shot's windows in execution order; ``windows``
-    maps each down element with commands to the accumulator entries one
-    shot appends.
+    ``events`` holds the shot's windows in execution order, not yet
+    synthesized; ``envelopes`` holds the envelope memory of each up
+    element they address, zero past depth; ``windows`` maps each down
+    element with commands to the accumulator entries one shot appends.
     """
 
     shot_samples: int
     windows: dict
     events: tuple
+    envelopes: dict
 
 
 class _Window(NamedTuple):
-    """One command's window [n0, n1), synthesized once by ``prepare``.
+    """One command's window, starting at absolute sample ``n0``.
 
-    ``samples`` is an (n1 - n0, 2) int32 array: the unsaturated DAC
-    contribution of an up window, or the LO carrier of a down window.
     ``source`` is the element whose flag gates a conditional command
     (None when unconditional); ``fault`` describes an envelope read
-    beyond depth, logged in every shot the window runs.
+    beyond depth, logged in every shot the window runs.  ``samples``,
+    filled in by synthesis, is a (cmd.length, 2) int32 array: the
+    unsaturated DAC contribution of an up window, or the LO carrier of a
+    down window.
     """
 
     up: bool
-    element: int
-    destination: int
+    cmd: CommandFields
     n0: int
-    n1: int
-    samples: np.ndarray
     source: int | None
     fault: str | None
+    samples: np.ndarray | None = None
+
+
+def _blocks(events):
+    """Consecutive runs of whole windows of at most _SYNTH_BLOCK samples
+    (a longer window is a block of its own)."""
+    block, size = [], 0
+    for w in events:
+        if block and size + w.cmd.length > _SYNTH_BLOCK:
+            yield block
+            block, size = [], 0
+        block.append(w)
+        size += w.cmd.length
+    if block:
+        yield block
 
 
 def acc_windows(commands, n_up) -> Counter:
@@ -337,11 +357,12 @@ class Simulator:
     # -- program loading ----------------------------------------------------
 
     def prepare(self, image: ProgramImage, envelopes=None) -> PreparedProgram:
-        """Decode, validate and synthesize ``image`` once for every shot that runs it.
+        """Decode and validate ``image`` once for every shot that runs it.
 
         ``envelopes``, when given, is the envelope memory read in place of
-        ``image.envelopes``; the result holds no reference to either.
-        Raises SimulationError for an image that could not execute.
+        ``image.envelopes``; the result copies what its commands address
+        and holds no reference to either.  Raises SimulationError for an
+        image that could not execute.
         """
         hw = self.hw
         if len(image.commands) > hw.command_buffer_depth:
@@ -389,86 +410,75 @@ class Simulator:
                     f"element {element} has a conditional command but no flag source"
                 )
 
+        # Execution order: down-window completions first on a given
+        # cycle, so a conditional command triggering on that cycle sees
+        # the flag.  A zero-length up window emits nothing and is dropped.
+        order = []
+        for element, cmds in per_element.items():
+            up = hw.element_direction(element) == "up"
+            for pos, cmd in cmds:
+                if not up:
+                    order.append((cmd.trig_t + -(-cmd.length // spc), 0, element, pos))
+                elif cmd.length:
+                    order.append((cmd.trig_t, 1, element, pos))
+        order.sort()
+        depth = hw.envelope_buffer_depth
+        events = []
+        reach = {}  # up element -> end of its furthest envelope read
+        for _, up, element, pos in order:
+            cmd = decoded[pos]
+            end = cmd.start + cmd.length
+            fault = None
+            if up:
+                reach[element] = max(reach.get(element, 0), end)
+                if end > depth:
+                    fault = f"read [{cmd.start}, {end}) beyond depth {depth}; zeros emitted"
+            source = self.condition_map[element] if cmd.condition else None
+            events.append(_Window(bool(up), cmd, cmd.trig_t * spc, source, fault))
+
+        if envelopes is None:
+            envelopes = image.envelopes
+        memory = {}
+        for element, n in reach.items():
+            stored = envelopes.get(element, ())[: min(n, depth)]
+            memory[element] = np.zeros(n, dtype=np.int64)
+            memory[element][: len(stored)] = stored
         return PreparedProgram(
             shot_samples=shot_samples,
             windows=acc_windows(decoded, hw.n_processing_elements_up),
-            events=self._synthesize(
-                image.envelopes if envelopes is None else envelopes, per_element
-            ),
+            events=tuple(events),
+            envelopes=memory,
         )
 
-    def _synthesize(self, envelopes, per_element):
-        """Every window's samples from one CORDIC call, in execution order.
-
-        Down windows complete before up windows trigger on the same
-        cycle, so a conditional command triggering on that cycle sees
-        the flag.  A zero-length up window emits nothing and is dropped.
-        """
-        hw = self.hw
-        spc = hw.samples_per_cycle
-        depth = hw.envelope_buffer_depth
-        ups, downs = [], []
-        for element, cmds in per_element.items():
-            down = hw.element_direction(element) == "down"
-            for pos, cmd in cmds:
-                if down:
-                    downs.append(((cmd.trig_t + -(-cmd.length // spc), 0, element, pos), cmd))
-                elif cmd.length:
-                    ups.append(((cmd.trig_t, 1, element, pos), cmd))
-        # Up windows lead, so envelope mixing covers one block of samples.
-        windows = ups + downs
-        lengths = [cmd.length for _, cmd in windows]
-        bounds = np.cumsum([0] + lengths)
-        offset = np.arange(bounds[-1]) - _per_sample(bounds[:-1], lengths)
-        n = _per_sample([cmd.trig_t * spc for _, cmd in windows], lengths) + offset
-        phase = [cmd.phase_word << (_TURN_BITS - cmdcodec.PHASE_WORD_BITS) for _, cmd in windows]
-        freq = [cmd.freq_word for _, cmd in windows]
-        turn = (_per_sample(phase, lengths) + _per_sample(freq, lengths) * n) & (
-            (1 << _TURN_BITS) - 1
-        )
-        cos, sin = cordic_cos_sin(turn)
-        samples = np.stack((cos, sin), axis=1).astype(np.int32)
-
-        # One row of envelope memory per up element, and a zero column
-        # that reads beyond depth land on.
-        row_of = {}
-        for (_, _, element, _), _ in ups:
-            row_of.setdefault(element, len(row_of))
-        memory = np.zeros((len(row_of), depth + 1), dtype=np.int64)
-        for element, row in row_of.items():
-            stored = envelopes.get(element, ())[:depth]
-            memory[row, : len(stored)] = stored
-        up_samples = bounds[len(ups)]
-        up_lengths = lengths[: len(ups)]
-        rows = _per_sample([row_of[key[2]] for key, _ in ups], up_lengths)
-        start = _per_sample([cmd.start for _, cmd in ups], up_lengths)
-        ei, eq = iq_lanes(memory[rows, np.minimum(start + offset[:up_samples], depth)])
-        ci, cq = cos[:up_samples], sin[:up_samples]
-        samples[:up_samples, 0] = _div_full_scale(ei * ci - eq * cq)
-        samples[:up_samples, 1] = _div_full_scale(ei * cq + eq * ci)
-
+    def _synthesize(self, prepared):
+        """``prepared.events`` with their samples, one CORDIC call per block."""
         events = []
-        for (key, cmd), lo, hi in zip(windows, bounds, bounds[1:]):
-            _, kind, element, _ = key
-            n0 = cmd.trig_t * spc
-            end = cmd.start + cmd.length
-            window = _Window(
-                up=kind == 1,
-                element=element,
-                destination=cmd.destination,
-                n0=n0,
-                n1=n0 + cmd.length,
-                samples=samples[lo:hi],
-                source=self.condition_map[element] if cmd.condition else None,
-                fault=(
-                    f"read [{cmd.start}, {end}) beyond depth {depth}; zeros emitted"
-                    if kind == 1 and end > depth
-                    else None
-                ),
+        for block in _blocks(prepared.events):
+            lengths = [w.cmd.length for w in block]
+            first = np.cumsum([0] + lengths)
+            n = np.arange(first[-1]) + _per_sample(
+                np.array([w.n0 for w in block]) - first[:-1], lengths
             )
-            events.append((key, window))
-        events.sort(key=lambda ev: ev[0])
-        return tuple(window for _, window in events)
+            shift = _TURN_BITS - cmdcodec.PHASE_WORD_BITS
+            phase = _per_sample([w.cmd.phase_word << shift for w in block], lengths)
+            freq = _per_sample([w.cmd.freq_word for w in block], lengths)
+            cos, sin = cordic_cos_sin((phase + freq * n) & ((1 << _TURN_BITS) - 1))
+            samples = np.stack((cos, sin), axis=1).astype(np.int32)
+            up = np.repeat([w.up for w in block], lengths)
+            if up.any():
+                reads = [
+                    prepared.envelopes[w.cmd.element][w.cmd.start : w.cmd.start + w.cmd.length]
+                    for w in block
+                    if w.up
+                ]
+                ei, eq = iq_lanes(np.concatenate(reads))
+                ci, cq = cos[up], sin[up]
+                samples[up, 0] = _div_full_scale(ei * ci - eq * cq)
+                samples[up, 1] = _div_full_scale(ei * cq + eq * ci)
+            events.extend(
+                w._replace(samples=samples[lo:hi]) for w, lo, hi in zip(block, first, first[1:])
+            )
+        return tuple(events)
 
     # -- execution ----------------------------------------------------------
 
@@ -481,15 +491,17 @@ class Simulator:
         accumulator holds; the caller appends every yielded shot's
         ``entries``.  Before each shot the loop reads ``acc`` under
         ``lock`` and stops rather than let a window overflow the
-        accumulator depth.
+        accumulator depth.  The program's signals are synthesized once,
+        before the first shot, in the thread that iterates the loop.
         """
         depth = self.hw.acc_buffer_depth
+        events = self._synthesize(prepared)
         for shot in range(start_shot, start_shot + shots):
             with lock:
                 if any(len(acc[e]) + n > depth for e, n in prepared.windows.items()):
                     return
             rng = np.random.default_rng(None if seed is None else (seed, shot))
-            state = _ShotState(self, prepared, shot, rng)
+            state = _ShotState(self, prepared, events, shot, rng)
             state.execute()
             yield state
 
@@ -544,16 +556,16 @@ class Simulator:
 class _ShotState:
     """One shot's signal state: exact DAC sums, DLO taps, flags."""
 
-    def __init__(self, sim, prepared, shot, rng):
+    def __init__(self, sim, prepared, events, shot, rng):
         self.sim = sim
         self.shot = shot
         self.rng = rng
         self.faults = []
         self.shot_samples = prepared.shot_samples
-        self.events = prepared.events
+        self.events = events
+        hw = sim.hw
         self.dac_sum = {
-            p: np.zeros((self.shot_samples, 2), dtype=np.int64)
-            for p in range(sim.hw.n_dac_pairs)
+            p: np.zeros((self.shot_samples, 2), dtype=np.int64) for p in range(hw.n_dac_pairs)
         }
         self.dlo_tap = {}
         self.flags = {}
@@ -568,20 +580,23 @@ class _ShotState:
         for w in self.events:
             if w.source is not None and not self.flags.get(w.source, 0):
                 continue
+            element = w.cmd.element
             if not w.up:
-                self.entries[w.element].append(self._run_down(w))
+                self.entries[element].append(self._run_down(w))
                 continue
             if w.fault is not None:
-                self.faults.append(FaultEntry(self.shot, w.element, 0, "envelope_oob", w.fault))
-            self.dac_sum[w.destination][w.n0 : w.n1] += w.samples
+                self.faults.append(FaultEntry(self.shot, element, 0, "envelope_oob", w.fault))
+            self.dac_sum[w.cmd.destination][w.n0 : w.n0 + w.cmd.length] += w.samples
 
     def _run_down(self, w):
+        element = w.cmd.element
+        n1 = w.n0 + w.cmd.length
         adc = self.sim.wiring.read(
-            self.shot, w.destination, w.n0, w.n1, self._dac_read, self.rng
+            self.shot, w.cmd.destination, w.n0, n1, self._dac_read, self.rng
         )
-        if w.element not in self.dlo_tap:
-            self.dlo_tap[w.element] = np.zeros((self.shot_samples, 2), dtype=np.int64)
-        self.dlo_tap[w.element][w.n0 : w.n1] = w.samples
+        if element not in self.dlo_tap:
+            self.dlo_tap[element] = np.zeros((self.shot_samples, 2), dtype=np.int64)
+        self.dlo_tap[element][w.n0 : n1] = w.samples
         ci, cq = w.samples.T.astype(np.int64)
         ai = adc[:, 0]
         aq = adc[:, 1]
@@ -591,8 +606,8 @@ class _ShotState:
         sum_q = int(np.sum(aq * ci - ai * cq))
         entry_i = int(_div_full_scale(np.int64(sum_i)))
         entry_q = int(_div_full_scale(np.int64(sum_q)))
-        classifier = self.sim.classifier_map.get(w.element, StateClassifier())
-        self.flags[w.element] = classifier.classify(entry_i, entry_q)
+        classifier = self.sim.classifier_map.get(element, StateClassifier())
+        self.flags[element] = classifier.classify(entry_i, entry_q)
         return (entry_i, entry_q)
 
     def saturation_count(self):

@@ -2,6 +2,7 @@
 
 import json
 import socket
+import threading
 import time
 
 import numpy as np
@@ -145,6 +146,41 @@ def faulty_image(hw):
         commands=tuple(cmdcodec.encode(c) for c in commands),
         envelopes={0: full, 1: full, 2: (0x4000 << 16,) * hw.envelope_buffer_depth},
         repeat_cycles=32,
+    )
+
+
+def long_image(hw, n_windows=64):
+    """Every up element plays ``n_windows`` full-depth envelope windows
+    back to back (about 1M window samples by default), then one down
+    window reads DAC pair 0."""
+    depth = hw.envelope_buffer_depth
+    cycles = depth // hw.samples_per_cycle
+    commands = [
+        cmdcodec.CommandFields(
+            trig_t=k * cycles,
+            length=depth,
+            freq_word=(977 * e + 31 * k) % (1 << 24),
+            phase_word=13 * k,
+            element=e,
+            destination=e % hw.n_dac_pairs,
+        )
+        for e in range(hw.n_processing_elements_up)
+        for k in range(n_windows)
+    ]
+    commands.append(
+        cmdcodec.CommandFields(
+            trig_t=(n_windows - 1) * cycles, length=depth, element=hw.n_processing_elements_up
+        )
+    )
+    commands.sort(key=lambda c: c.trig_t)
+    envelopes = {
+        e: [(97 * e + i) % 0x8000 << 16 | i % 0x4000 for i in range(depth)]
+        for e in range(hw.n_processing_elements_up)
+    }
+    return ProgramImage(
+        commands=tuple(cmdcodec.encode(c) for c in commands),
+        envelopes=envelopes,
+        repeat_cycles=n_windows * cycles,
     )
 
 
@@ -424,6 +460,30 @@ class TestExecution:
             result = client.run_program(prog, shots)
         assert result.shots_completed == shots
         assert calls == [sum(cmd.length for cmd in prog.commands)]
+
+    def test_start_answers_before_synthesis(self, server, monkeypatch):
+        prog = readout_program()
+        release = threading.Event()
+        cordic = dspsim.cordic_cos_sin
+        monkeypatch.setattr(
+            dspsim, "cordic_cos_sin", lambda words: release.wait(10) and cordic(words)
+        )
+        with make_client(server) as client:
+            client.upload_program(prog)
+            client.clear_acc()
+            client.start(2)  # answers while the run thread waits to synthesize
+            assert client.status() == (True, 0, 0)
+            release.set()
+            assert client.wait() == (2, 0)
+
+    def test_long_program_starts_and_matches_local(self, server):
+        image = long_image(HW)
+        n_up = HW.n_processing_elements_up
+        local = Simulator(HW, wiring=Loopback()).run(image, seed=1234)
+        with make_client(server) as client:
+            remote = client.run_program(image, 1, n_up=n_up)
+        assert (remote.shots_completed, remote.fault_count) == (1, local.saturation_count)
+        assert np.array_equal(remote.acc[n_up], local.acc[n_up])
 
     def test_conditional_command_without_flag_source_rejected(self, server):
         # the default condition map gates up elements only

@@ -498,7 +498,7 @@ class TestAcquisition:
 
 
 # ---------------------------------------------------------------------------
-# Synthesis once per prepared program
+# Synthesis once per run
 
 
 def per_window_run(image, shots, delay):
@@ -634,7 +634,7 @@ class TestSynthesisOnce:
         assert [(f.shot, f.element, f.kind, f.detail) for f in res.fault_log] == faults
 
     @pytest.mark.parametrize("shots", [1, 3])
-    def test_one_cordic_call_per_prepare(self, monkeypatch, shots):
+    def test_one_cordic_call_per_run(self, monkeypatch, shots):
         words, _ = env_words()
         image = ProgramImage(
             commands=[up_cmd(length=96, freq=50e6), down_cmd(length=90, freq=50e6)],
@@ -649,3 +649,50 @@ class TestSynthesisOnce:
         res = Simulator(HW, wiring=Loopback(0)).run(image, shots=shots)
         assert res.shots_completed == shots
         assert calls == [96 + 90]
+
+    def test_synthesis_runs_in_bounded_blocks(self, monkeypatch):
+        # Many more window samples than one block, in windows of odd
+        # lengths on three up and two down elements.
+        rng = np.random.default_rng(7)
+        spc = HW.samples_per_cycle
+        fields = []
+        end_cycle = 1
+        for element in (0, 1, 2, 16, 17):
+            cycle = 0
+            for _ in range(12):
+                length = int(rng.integers(1, 4096))
+                fields.append(
+                    CommandFields(
+                        trig_t=cycle,
+                        start=int(rng.integers(0, 1024)) if element < 16 else 0,
+                        length=length,
+                        freq_word=int(rng.integers(0, TURNS)),
+                        phase_word=int(rng.integers(0, 2**PHASE_WORD_BITS)),
+                        element=element,
+                        destination=int(rng.integers(0, HW.n_dac_pairs)),
+                    )
+                )
+                cycle += -(-length // spc) + int(rng.integers(0, 3))
+            end_cycle = max(end_cycle, cycle)
+        fields.sort(key=lambda c: c.trig_t)
+        image = ProgramImage(
+            commands=[encode(c) for c in fields],
+            envelopes={e: rng.integers(0, 2**32, 1024).tolist() for e in (0, 1, 2)},
+            repeat_cycles=end_cycle,
+        )
+        calls = []
+        cordic = dspsim.cordic_cos_sin
+        monkeypatch.setattr(
+            dspsim, "cordic_cos_sin", lambda words: calls.append(len(words)) or cordic(words)
+        )
+        res = Simulator(HW, wiring=Loopback(0)).run(image, shots=2)
+        assert len(calls) > 1
+        assert max(calls) <= dspsim._SYNTH_BLOCK
+        assert sum(calls) == sum(c.length for c in fields)
+        acc, dac, _, faults = per_window_run(image, 2, 0)
+        assert set(res.acc) == set(acc)
+        for element, entries in acc.items():
+            assert res.acc[element].tolist() == [list(e) for e in entries]
+        for pair in range(HW.n_dac_pairs):
+            assert np.array_equal(res.dac[pair], dac[pair])
+        assert [(f.shot, f.element, f.kind, f.detail) for f in res.fault_log] == faults
