@@ -9,6 +9,8 @@ sixteen Pauli pairs needed for randomized compiling.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..errors import AnalysisError
@@ -164,6 +166,28 @@ def bloch_rotation(u: np.ndarray) -> np.ndarray:
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+
+
+def _frozen(m: np.ndarray) -> np.ndarray:
+    m.setflags(write=False)
+    return m
+
+
+@functools.cache
+def pair_tables():
+    """Two 24x24 tables of 4x4 unitaries, built on first use.
+
+    ``kron[a][b]`` is ``np.kron(CLIFFORD_MATS[a], CLIFFORD_MATS[b])``
+    and ``after_cnot[a][b]`` is that times ``CNOT``: an easy layer
+    following a hard cycle.  Entries are read-only, since every caller
+    shares them.
+    """
+    kron = tuple(
+        tuple(_frozen(np.kron(a, b)) for b in CLIFFORD_MATS) for a in CLIFFORD_MATS
+    )
+    after_cnot = tuple(tuple(_frozen(k @ CNOT) for k in row) for row in kron)
+    return kron, after_cnot
+
 
 PAULI_NAMES = ("I", "X", "Y", "Z")
 PAULI_PAIRS = tuple(

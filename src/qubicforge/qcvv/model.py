@@ -11,6 +11,7 @@ randomized compiling uses a 4x4 density matrix instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,12 +104,22 @@ def decay_bloch(r, duration, t1, t2):
     return np.array([x * gx, y * gx, 1.0 - (1.0 - z) * gz])
 
 
+@functools.cache
+def clifford_bloch_table(delta: float) -> tuple:
+    """SO(3) matrices of the 24 Cliffords, each overrotated by ``delta``.
+
+    Built once per distinct ``delta`` on first use.  The entries are
+    read-only, since every caller shares them.
+    """
+    mats = cliffords.CLIFFORD_MATS
+    if delta:
+        mats = [cliffords.overrotated(u, delta) for u in mats]
+    return tuple(cliffords._frozen(cliffords.bloch_rotation(u)) for u in mats)
+
+
 def apply_clifford_bloch(r, index, model: MockQubitModel):
     """One noisy Clifford: overrotated rotation then depolarization."""
-    u = cliffords.CLIFFORD_MATS[index]
-    if model.delta:
-        u = cliffords.overrotated(u, model.delta)
-    r = cliffords.bloch_rotation(u) @ np.asarray(r, dtype=float)
+    r = clifford_bloch_table(model.delta)[index] @ np.asarray(r, dtype=float)
     if model.p_dep:
         r = r * (1.0 - model.p_dep)
     return r

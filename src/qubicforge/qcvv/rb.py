@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from ..errors import AnalysisError
 from . import cliffords
@@ -100,6 +99,8 @@ def fit_rb_decay(lengths, survival, survival_err=None):
     (amplitude, decay, covariance, residuals, converged); convergence
     failure is reported through the flag, not raised.
     """
+    from scipy.optimize import curve_fit
+
     m = np.asarray(lengths, dtype=float)
     y = np.asarray(survival, dtype=float)
     if m.shape != y.shape or m.size < 2:
@@ -155,6 +156,31 @@ def _finish(lengths, means, errs, dimension) -> RBResult:
     )
 
 
+def _rb(d, draw, executor, lengths, sequences_per_length, shots, seed) -> RBResult:
+    """The RB loop shared by every dimension.
+
+    ``draw(rng, m)`` returns one sequence of length m plus its inverse;
+    ``executor(sequence, shots, rng)`` returns the observed ground-state
+    probability.  Both take the experiment's one generator, in that
+    order per sequence.
+    """
+    rng = np.random.default_rng(seed)
+    means, errs = [], []
+    for m in lengths:
+        vals = []
+        for _ in range(sequences_per_length):
+            p_hat = float(executor(draw(rng, int(m)), shots, rng))
+            vals.append((d * p_hat - 1.0) / (d - 1.0))
+        vals = np.asarray(vals)
+        means.append(vals.mean())
+        # binomial noise floor keeps weights sane when the spread is 0
+        n_total = shots * sequences_per_length
+        p_bar = (means[-1] * (d - 1) + 1.0) / d
+        floor = d / (d - 1) * np.sqrt(max(p_bar * (1 - p_bar), 1e-12) / n_total)
+        errs.append(max(vals.std(ddof=1) / np.sqrt(len(vals)), floor))
+    return _finish(lengths, means, errs, d)
+
+
 def rb_experiment(
     model: MockQubitModel,
     lengths,
@@ -169,36 +195,24 @@ def rb_experiment(
     (sequence_indices, shots, rng) -> observed P(0), letting the same
     harness drive a compiled-program backend.
     """
-    rng = np.random.default_rng(seed)
-    d = 2
-    means, errs = [], []
-    for m in lengths:
-        vals = []
-        for _ in range(sequences_per_length):
-            seq = random_rb_sequence(rng, int(m))
-            if executor is not None:
-                p0_hat = float(executor(seq, shots, rng))
-            else:
-                p0 = run_sequence_1q(model, seq)
-                p0_hat = rng.binomial(shots, p0) / shots
-            vals.append((d * p0_hat - 1.0) / (d - 1.0))
-        vals = np.asarray(vals)
-        means.append(vals.mean())
-        # binomial noise floor keeps weights sane when the spread is 0
-        n_total = shots * sequences_per_length
-        p0_bar = (means[-1] * (d - 1) + 1.0) / d
-        floor = d / (d - 1) * np.sqrt(max(p0_bar * (1 - p0_bar), 1e-12) / n_total)
-        errs.append(max(vals.std(ddof=1) / np.sqrt(len(vals)), floor))
-    return _finish(lengths, means, errs, d)
+    if executor is None:
+
+        def executor(seq, shots, rng):
+            return rng.binomial(shots, run_sequence_1q(model, seq)) / shots
+
+    return _rb(
+        2, random_rb_sequence, executor, lengths, sequences_per_length, shots, seed
+    )
 
 
 def run_sequence_2q(model: MockQubitModel, pair_indices) -> float:
     """Exact P(00) for tensor-product Cliffords with the abstract
     two-qubit depolarizing channel applied after every layer."""
+    kron = cliffords.pair_tables()[0]
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
     for ia, ib in pair_indices:
-        u = np.kron(cliffords.CLIFFORD_MATS[ia], cliffords.CLIFFORD_MATS[ib])
+        u = kron[ia][ib]
         rho = u @ rho @ u.conj().T
         rho = depolarize(rho, model.two_qubit_depol)
     return min(max(rho[0, 0].real, 0.0), 1.0)
@@ -223,20 +237,10 @@ def rb_experiment_2q(
     The genuine two-qubit Clifford group is not enumerated; the decay
     probes only the injected abstract channel strength.
     """
-    rng = np.random.default_rng(seed)
-    d = 4
-    means, errs = [], []
-    for m in lengths:
-        vals = []
-        for _ in range(sequences_per_length):
-            seq = random_rb_sequence_2q(rng, int(m))
-            p00 = run_sequence_2q(model, seq)
-            p00_hat = rng.binomial(shots, p00) / shots
-            vals.append((d * p00_hat - 1.0) / (d - 1.0))
-        vals = np.asarray(vals)
-        means.append(vals.mean())
-        n_total = shots * sequences_per_length
-        p_bar = (means[-1] * (d - 1) + 1.0) / d
-        floor = d / (d - 1) * np.sqrt(max(p_bar * (1 - p_bar), 1e-12) / n_total)
-        errs.append(max(vals.std(ddof=1) / np.sqrt(len(vals)), floor))
-    return _finish(lengths, means, errs, d)
+
+    def executor(seq, shots, rng):
+        return rng.binomial(shots, run_sequence_2q(model, seq)) / shots
+
+    return _rb(
+        4, random_rb_sequence_2q, executor, lengths, sequences_per_length, shots, seed
+    )

@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..errors import AnalysisError
 from . import cliffords
@@ -82,11 +81,11 @@ def twirl_circuit(circuit: TwoQubitCircuit, rng) -> TwoQubitCircuit:
 
 def circuit_unitary(circuit: TwoQubitCircuit) -> np.ndarray:
     """Noiseless state-vector oracle for the full circuit."""
-    mats = cliffords.CLIFFORD_MATS
+    kron, after_cnot = cliffords.pair_tables()
     ia, ib = circuit.easy_layers[0]
-    u = np.kron(mats[ia], mats[ib])
+    u = kron[ia][ib].copy()
     for ia, ib in circuit.easy_layers[1:]:
-        u = np.kron(mats[ia], mats[ib]) @ cliffords.CNOT @ u
+        u = after_cnot[ia][ib] @ u
     return u
 
 
@@ -103,7 +102,11 @@ def unitarily_equivalent(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> bo
 
 
 def verify_twirl(bare: TwoQubitCircuit, variant: TwoQubitCircuit, tol: float = 1e-10):
-    if not unitarily_equivalent(circuit_unitary(bare), circuit_unitary(variant), tol):
+    _verify_against(circuit_unitary(bare), variant, tol)
+
+
+def _verify_against(bare_unitary: np.ndarray, variant: TwoQubitCircuit, tol=1e-10):
+    if not unitarily_equivalent(bare_unitary, circuit_unitary(variant), tol):
         raise AnalysisError("twirled variant is not equivalent to its bare circuit")
 
 
@@ -152,8 +155,8 @@ def final_probabilities(
 
 
 def _easy_unitaries(circuit: TwoQubitCircuit) -> list:
-    mats = cliffords.CLIFFORD_MATS
-    return [np.kron(mats[a], mats[b]) for a, b in circuit.easy_layers]
+    kron = cliffords.pair_tables()[0]
+    return [kron[a][b] for a, b in circuit.easy_layers]
 
 
 def ideal_distribution(circuit: TwoQubitCircuit) -> dict:
@@ -212,6 +215,8 @@ class TVDReport:
 
 def paired_improvement_pvalue(report: TVDReport) -> float:
     """One-sided Wilcoxon signed-rank p for RC TVD < bare TVD."""
+    from scipy import stats
+
     result = stats.wilcoxon(report.rc_tvd, report.bare_tvd, alternative="less")
     return float(result.pvalue)
 
@@ -251,8 +256,9 @@ def rc_harness(
     ]
     if verify:
         for circ, ensemble in zip(bare_circuits, ensembles):
+            u = circuit_unitary(circ)
             for variant in ensemble:
-                verify_twirl(circ, variant)
+                _verify_against(u, variant)
     timings["Compile"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

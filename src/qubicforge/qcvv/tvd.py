@@ -22,7 +22,9 @@ def tvd(p: dict, q: dict) -> float:
             )
         if any(v < -NORM_TOL for v in dist.values()):
             raise AnalysisError(f"{name} distribution has a negative entry")
-    keys = set(p) | set(q)
+    # p's labels in insertion order, then q's extra ones: a set's order
+    # follows string hashing, which changes from process to process
+    keys = [*p, *(k for k in q if k not in p)]
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 

@@ -541,26 +541,33 @@ def test_a10_tvd_metric_properties_and_spot_values():
 def test_a11_run_stage_time_scales_linearly():
     model = MockQubitModel(delta=0.05)
 
-    def run_stage_medians(points, repeats=5):
-        """Median Run-stage seconds per (variants, depth) point.
+    def run_stage_shares(points, sweeps=15):
+        """Median share of each (variants, depth) point in a sweep's Run time.
 
-        Repeats go round-robin over the points, so a stretch in which the
-        machine runs slower or faster lands on every point alike instead
-        of bending one of them.  Each point keeps its own generator, so
-        it sees the same circuit and twirls as when timed on its own.
+        Each sweep times every point once, in alternating direction, and
+        each time is divided by the sweep's total: over one sweep the
+        machine's speed, which on a shared host shifts by up to 2x within
+        seconds, scales every point alike and cancels, and a shift in the
+        middle of a sweep bends no one point more often than another.
+        Dividing by a constant leaves R^2 unchanged.  Each point keeps its
+        own generator, so it sees the same circuit and twirls as when timed
+        on its own.
         """
         setups = []
         for variants, depth in points:
             rng = np.random.default_rng(5)
             setups.append((variants, [random_circuit(rng, depth)], rng))
-        times = [[] for _ in points]
-        for _ in range(repeats):
-            for (variants, circ, rng), point_times in zip(setups, times):
+        shares = np.empty((sweeps, len(points)))
+        for sweep in range(sweeps):
+            order = range(len(points))
+            for i in order if sweep % 2 == 0 else reversed(order):
+                variants, circ, rng = setups[i]
                 report = rc_harness(
                     circ, variants, model, shots=2 * variants, seed=rng, verify=False
                 )
-                point_times.append(report.stage_seconds["Run"])
-        return [float(np.median(t)) for t in times]
+                shares[sweep, i] = report.stage_seconds["Run"]
+            shares[sweep] /= shares[sweep].sum()
+        return np.median(shares, axis=0)
 
     def rsquared(x, y):
         x = np.asarray(x, dtype=float)
@@ -571,10 +578,10 @@ def test_a11_run_stage_time_scales_linearly():
 
     variants_axis = (200, 400, 600, 800)
     r2_variants = rsquared(
-        variants_axis, run_stage_medians([(v, 16) for v in variants_axis])
+        variants_axis, run_stage_shares([(v, 16) for v in variants_axis])
     )
     depth_axis = (8, 16, 24, 32)
-    r2_depth = rsquared(depth_axis, run_stage_medians([(400, d) for d in depth_axis]))
+    r2_depth = rsquared(depth_axis, run_stage_shares([(400, d) for d in depth_axis]))
 
     assert r2_variants > 0.98
     assert r2_depth > 0.98

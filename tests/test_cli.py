@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, file outputs, path equivalence."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -120,6 +121,18 @@ class TestParsing:
         )
         assert code == 3
         assert "compile error" in capsys.readouterr().err
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        code = (
+            "import sys, qubicforge.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestCompile:
@@ -278,3 +291,17 @@ class TestReports:
         ]
         tvd = (tmp_path / "rc.tvd.csv").read_text().splitlines()
         assert len(tvd) == 1 + 5
+
+    def test_rc_independent_of_string_hashing(self, tmp_path):
+        # the TVD sums must not follow the per-process order of a str set
+        written = []
+        for hashseed in ("0", "1"):
+            out = tmp_path / hashseed
+            subprocess.run(
+                [sys.executable, "-m", "qubicforge.cli", "rc", "--circuits", "20",
+                 "--variants", "4", "--shots", "400", "--seed", "11", "--out", str(out)],
+                env={**os.environ, "PYTHONHASHSEED": hashseed},
+                check=True, capture_output=True,
+            )
+            written.append((out / "rc.tvd.csv").read_bytes())
+        assert written[0] == written[1]

@@ -1,5 +1,6 @@
 """Characterization harness: Cliffords, mock model, GMM, RB, RC, TVD."""
 
+import json
 import math
 
 import numpy as np
@@ -35,7 +36,15 @@ from qubicforge.qcvv import (
     twirl_circuit,
     verify_twirl,
 )
-from qubicforge.qcvv.model import sample_bits
+from qubicforge.qcvv import rb as rb_module
+from qubicforge.qcvv import rc as rc_module
+from qubicforge.qcvv.model import clifford_bloch_table, depolarize, sample_bits
+from qubicforge.qcvv.rb import (
+    _finish,
+    random_rb_sequence,
+    random_rb_sequence_2q,
+    run_sequence_2q,
+)
 from qubicforge.qcvv.rc import (
     STAGES,
     circuit_unitary,
@@ -563,6 +572,166 @@ class TestRC:
         emp = distribution(counts)
         for key in flipped:
             assert emp.get(key, 0.0) == pytest.approx(flipped[key], abs=0.05)
+
+
+# ---------------------------------------------------------------------------
+# Gate tables, against the per-gate code they replace
+
+
+def per_gate_clifford_bloch(r, index, model):
+    """One noisy Clifford, its SO(3) matrix built again at every gate."""
+    u = cl.CLIFFORD_MATS[index]
+    if model.delta:
+        u = cl.overrotated(u, model.delta)
+    r = cl.bloch_rotation(u) @ np.asarray(r, dtype=float)
+    if model.p_dep:
+        r = r * (1.0 - model.p_dep)
+    return r
+
+
+def per_gate_bloch_z(indices, model):
+    r = np.array([0.0, 0.0, 1.0])
+    for idx in indices:
+        r = per_gate_clifford_bloch(r, idx, model)
+    return r[2]
+
+
+def per_gate_run_sequence_2q(model, pair_indices):
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = 1.0
+    for ia, ib in pair_indices:
+        u = np.kron(cl.CLIFFORD_MATS[ia], cl.CLIFFORD_MATS[ib])
+        rho = u @ rho @ u.conj().T
+        rho = depolarize(rho, model.two_qubit_depol)
+    return min(max(rho[0, 0].real, 0.0), 1.0)
+
+
+def per_gate_circuit_unitary(circuit):
+    mats = cl.CLIFFORD_MATS
+    ia, ib = circuit.easy_layers[0]
+    u = np.kron(mats[ia], mats[ib])
+    for ia, ib in circuit.easy_layers[1:]:
+        u = np.kron(mats[ia], mats[ib]) @ cl.CNOT @ u
+    return u
+
+
+def per_gate_easy_unitaries(circuit):
+    mats = cl.CLIFFORD_MATS
+    return [np.kron(mats[a], mats[b]) for a, b in circuit.easy_layers]
+
+
+def per_gate_rb(model, lengths, sequences_per_length, shots, seed, d):
+    """The RB loop as written once per dimension, on per-gate execution."""
+    if d == 2:
+        draw = random_rb_sequence
+
+        def run(model, seq):
+            return min(max((1.0 + per_gate_bloch_z(seq, model)) / 2.0, 0.0), 1.0)
+
+    else:
+        draw, run = random_rb_sequence_2q, per_gate_run_sequence_2q
+    rng = np.random.default_rng(seed)
+    means, errs = [], []
+    for m in lengths:
+        vals = []
+        for _ in range(sequences_per_length):
+            p = run(model, draw(rng, int(m)))
+            p_hat = rng.binomial(shots, p) / shots
+            vals.append((d * p_hat - 1.0) / (d - 1.0))
+        vals = np.asarray(vals)
+        means.append(vals.mean())
+        n_total = shots * sequences_per_length
+        p_bar = (means[-1] * (d - 1) + 1.0) / d
+        floor = d / (d - 1) * np.sqrt(max(p_bar * (1 - p_bar), 1e-12) / n_total)
+        errs.append(max(vals.std(ddof=1) / np.sqrt(len(vals)), floor))
+    return _finish(lengths, means, errs, d)
+
+
+def _rc_json(circuits, variants, model, shots, seed):
+    blob = rc_harness(circuits, variants, model, shots, seed=seed).to_json()
+    del blob["stage_seconds"]
+    return json.dumps(blob)
+
+
+class TestGateTables:
+    @given(
+        delta=st.one_of(st.just(0.0), st.floats(-0.3, 0.3)),
+        p_dep=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+        two_qubit_depol=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+        lengths=st.lists(st.integers(1, 40), min_size=2, max_size=4, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_tables_match_per_gate_code(
+        self, delta, p_dep, two_qubit_depol, lengths, seed
+    ):
+        model = MockQubitModel(
+            p_dep=p_dep, delta=delta, two_qubit_depol=two_qubit_depol
+        )
+        rng = np.random.default_rng(seed)
+        seq = random_rb_sequence(rng, lengths[0])
+        assert run_sequence_1q(model, seq) == min(
+            max((1.0 + per_gate_bloch_z(seq, model)) / 2.0, 0.0), 1.0
+        )
+        ops = [{"op": "clifford", "index": i} for i in seq]
+        assert excited_probability(ops, model) == min(
+            max((1.0 - per_gate_bloch_z(seq, model)) / 2.0, 0.0), 1.0
+        )
+        pairs = random_rb_sequence_2q(rng, lengths[-1])
+        assert run_sequence_2q(model, pairs) == per_gate_run_sequence_2q(model, pairs)
+        circuits = [random_circuit(rng, 1 + m % 6) for m in lengths]
+        for circ in circuits:
+            assert np.array_equal(circuit_unitary(circ), per_gate_circuit_unitary(circ))
+
+        for d, run in ((2, rb_experiment), (4, rb_experiment_2q)):
+            got = run(model, lengths, 2, 100, seed=seed).to_json()
+            want = per_gate_rb(model, lengths, 2, 100, seed, d).to_json()
+            assert json.dumps(got) == json.dumps(want)
+
+        got = _rc_json(circuits, 3, model, 90, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rc_module, "circuit_unitary", per_gate_circuit_unitary)
+            mp.setattr(rc_module, "_easy_unitaries", per_gate_easy_unitaries)
+            want = _rc_json(circuits, 3, model, 90, seed)
+        assert got == want
+
+    def test_bloch_rotation_runs_24_times_per_delta(self, monkeypatch):
+        calls = []
+        real = cl.bloch_rotation
+        monkeypatch.setattr(cl, "bloch_rotation", lambda u: calls.append(1) or real(u))
+        clifford_bloch_table.cache_clear()
+        rng = np.random.default_rng(12)
+        seqs = [random_rb_sequence(rng, 200) for _ in range(5)]
+        ops = [{"op": "clifford", "index": i} for i in seqs[0]]
+        for delta, built in ((0.0, 24), (0.03, 48), (0.0, 48), (-0.07, 72), (0.03, 72)):
+            model = MockQubitModel(p_dep=0.01, delta=delta)
+            for seq in seqs:
+                run_sequence_1q(model, seq)
+            excited_probability(ops, model)
+            assert len(calls) == built
+        clifford_bloch_table.cache_clear()
+
+    def test_no_kron_per_gate(self, monkeypatch):
+        cl.pair_tables()
+        calls = []
+        real = np.kron
+        monkeypatch.setattr(np, "kron", lambda a, b: calls.append(1) or real(a, b))
+        rng = np.random.default_rng(13)
+        model = MockQubitModel(two_qubit_depol=0.01)
+        rb_experiment_2q(model, [2, 8, 32], 3, 100, seed=3)
+        circuits = [random_circuit(rng, 5) for _ in range(3)]
+        rc_harness(circuits, 4, MockQubitModel(delta=0.05), 400, seed=4)
+        assert calls == []
+
+    def test_tables_are_read_only(self):
+        with pytest.raises(ValueError):
+            clifford_bloch_table(0.0)[1][0, 0] = 2.0
+        kron, after_cnot = cl.pair_tables()
+        with pytest.raises(ValueError):
+            after_cnot[3][4][0, 0] = 2.0
+        u = circuit_unitary(TwoQubitCircuitStub((1, 2)))
+        u[0, 0] = 2.0
+        assert kron[1][2][0, 0] != 2.0
 
 
 def TwoQubitCircuitStub(*layers):
