@@ -175,18 +175,16 @@ def _frozen(m: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def pair_tables():
-    """Two 24x24 tables of 4x4 unitaries, built on first use.
+    """Two read-only (24, 24, 4, 4) tables of 4x4 unitaries, built on first use.
 
-    ``kron[a][b]`` is ``np.kron(CLIFFORD_MATS[a], CLIFFORD_MATS[b])``
-    and ``after_cnot[a][b]`` is that times ``CNOT``: an easy layer
-    following a hard cycle.  Entries are read-only, since every caller
-    shares them.
+    ``kron[a, b]`` is ``np.kron(CLIFFORD_MATS[a], CLIFFORD_MATS[b])``
+    and ``after_cnot[a, b]`` is that times ``CNOT``: an easy layer
+    following a hard cycle.  Fancy indexing with arrays of ``a`` and
+    ``b`` gathers a stack of layers in one step.  Both tables are
+    read-only, since every caller shares them.
     """
-    kron = tuple(
-        tuple(_frozen(np.kron(a, b)) for b in CLIFFORD_MATS) for a in CLIFFORD_MATS
-    )
-    after_cnot = tuple(tuple(_frozen(k @ CNOT) for k in row) for row in kron)
-    return kron, after_cnot
+    kron = np.array([[np.kron(a, b) for b in CLIFFORD_MATS] for a in CLIFFORD_MATS])
+    return _frozen(kron), _frozen(kron @ CNOT)
 
 
 PAULI_NAMES = ("I", "X", "Y", "Z")
@@ -217,3 +215,17 @@ def _cnot_frame_table():
 
 # (Pa, Pb) -> the Pauli pair equal to CNOT (Pa x Pb) CNOT up to phase
 CNOT_FRAME = _cnot_frame_table()
+
+# CNOT_FRAME by Pauli code 0..3 (I, X, Y, Z): PAULI_CODE_INDEX[c] is the
+# Clifford index of Pauli c, and CNOT_FRAME_INDEX[ca, cb] the Clifford
+# indices of the pair CNOT (Pa x Pb) CNOT, so stacks of frames twirl by
+# table lookup
+PAULI_CODE_INDEX = _frozen(np.array([PAULI_INDEX[n] for n in PAULI_NAMES]))
+CNOT_FRAME_INDEX = _frozen(
+    np.array(
+        [
+            [[PAULI_INDEX[q] for q in CNOT_FRAME[(a, b)]] for b in PAULI_NAMES]
+            for a in PAULI_NAMES
+        ]
+    )
+)

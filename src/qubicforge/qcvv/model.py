@@ -232,10 +232,12 @@ def apply_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def depolarize(rho: np.ndarray, strength: float) -> np.ndarray:
+    """Depolarizing channel on a density matrix or a (..., d, d) stack."""
     if strength == 0.0:
         return rho
-    dim = rho.shape[0]
-    return (1.0 - strength) * rho + strength * np.trace(rho).real * np.eye(dim) / dim
+    dim = rho.shape[-1]
+    trace = np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    return (1.0 - strength) * rho + strength * trace * np.eye(dim) / dim
 
 
 def zz_error(delta: float) -> np.ndarray:
@@ -245,11 +247,14 @@ def zz_error(delta: float) -> np.ndarray:
 
 
 def readout_channel_2q(probs: np.ndarray, model: MockQubitModel) -> np.ndarray:
-    """Apply independent per-qubit bit-flip channels to P(00..11)."""
+    """Apply independent per-qubit bit-flip channels to P(00..11).
+
+    ``probs`` is one distribution or a (..., 4) stack of them.
+    """
     if model.eps01 == 0.0 and model.eps10 == 0.0:
         return probs
     flip = np.array(
         [[1.0 - model.eps01, model.eps10], [model.eps01, 1.0 - model.eps10]]
     )
     m = np.kron(flip, flip)
-    return m @ probs
+    return (m @ np.asarray(probs)[..., None])[..., 0]

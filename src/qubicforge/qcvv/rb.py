@@ -212,7 +212,7 @@ def run_sequence_2q(model: MockQubitModel, pair_indices) -> float:
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
     for ia, ib in pair_indices:
-        u = kron[ia][ib]
+        u = kron[ia, ib]
         rho = u @ rho @ u.conj().T
         rho = depolarize(rho, model.two_qubit_depol)
     return min(max(rho[0, 0].real, 0.0), 1.0)

@@ -10,6 +10,17 @@ hard cycle only as a coherent ZZ phase plus a depolarizing channel
 converts the coherent part into stochastic noise and the pooled
 variant distribution lands closer to the ideal one.
 
+Each harness stage works on stacks of variants, not one variant at a
+time: a circuit's V variants are one (V, depth+1, 2) array of easy-layer
+indices, twirled from one draw of (V, depth, 2) Pauli codes, and
+circuits of equal depth share every stack after that.  Verification
+compares the whole (V, 4, 4) stack of variant unitaries with the bare
+one, the density matrices evolve as one stack, and each arm draws its
+counts with one multinomial call.  The single-circuit functions
+(``twirl_circuit``, ``circuit_unitary``, ``verify_twirl``,
+``final_probabilities``, ``sample_counts``) are stacks of one through
+the same code, with the same bits and random stream.
+
 Each harness run reports wall-clock seconds for its pipeline stages:
 Compile (twirl generation + equivalence checks), Transpile (external
 in a real deployment; recorded as an explicit no-op), Transfer
@@ -29,12 +40,10 @@ import numpy as np
 from ..errors import AnalysisError
 from . import cliffords
 from .model import MockQubitModel, depolarize, readout_channel_2q, zz_error
-from .tvd import distribution, merge_counts, tvd
+from .tvd import distribution, tvd
 
 BITSTRINGS = ("00", "01", "10", "11")
 STAGES = ("Compile", "Transpile", "Transfer", "SeqGen", "Run", "Acquire", "Process")
-
-_PAULI_BY_CODE = ("I", "X", "Y", "Z")
 
 
 @dataclass(frozen=True)
@@ -61,57 +70,88 @@ def random_circuit(rng, depth: int) -> TwoQubitCircuit:
     return TwoQubitCircuit(layers)
 
 
+def _layers(circuit: TwoQubitCircuit) -> np.ndarray:
+    """(depth+1, 2) Clifford indices of a circuit's easy layers."""
+    return np.array(circuit.easy_layers, dtype=np.int64).reshape(-1, 2)
+
+
+def _twirl_layers(bare: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Easy layers of a stack of twirled variants of one bare circuit.
+
+    ``bare`` is the (depth+1, 2) layer indices and ``codes`` the
+    (V, depth, 2) Pauli codes 0..3 (I, X, Y, Z) of each variant's frame
+    before each CNOT.  The frame Pauli is applied after the preceding
+    easy layer and its CNOT conjugate absorbed before the following
+    one; the result is (V, depth+1, 2).
+    """
+    compose = cliffords.COMPOSE
+    frame = cliffords.PAULI_CODE_INDEX[codes]
+    conj = cliffords.CNOT_FRAME_INDEX[codes[..., 0], codes[..., 1]]
+    layers = np.repeat(bare[None], len(codes), axis=0)
+    layers[:, 1:] = compose[layers[:, 1:], conj]
+    layers[:, :-1] = compose[frame, layers[:, :-1]]
+    return layers
+
+
 def twirl_circuit(circuit: TwoQubitCircuit, rng) -> TwoQubitCircuit:
     """One Pauli-twirled variant with the frames folded into easy layers."""
-    layers = [list(layer) for layer in circuit.easy_layers]
-    compose = cliffords.COMPOSE
-    pidx = cliffords.PAULI_INDEX
-    for cycle in range(circuit.depth):
-        pa = _PAULI_BY_CODE[int(rng.integers(4))]
-        pb = _PAULI_BY_CODE[int(rng.integers(4))]
-        qa, qb = cliffords.CNOT_FRAME[(pa, pb)]
-        # frame Pauli applied after the preceding easy layer ...
-        layers[cycle][0] = int(compose[pidx[pa], layers[cycle][0]])
-        layers[cycle][1] = int(compose[pidx[pb], layers[cycle][1]])
-        # ... and its CNOT conjugate absorbed before the following one
-        layers[cycle + 1][0] = int(compose[layers[cycle + 1][0], pidx[qa]])
-        layers[cycle + 1][1] = int(compose[layers[cycle + 1][1], pidx[qb]])
-    return TwoQubitCircuit(tuple(tuple(layer) for layer in layers))
+    codes = rng.integers(4, size=(1, circuit.depth, 2))
+    layers = _twirl_layers(_layers(circuit), codes)[0]
+    return TwoQubitCircuit(tuple(map(tuple, layers.tolist())))
+
+
+def _unitaries(layers: np.ndarray) -> np.ndarray:
+    """(..., 4, 4) noiseless unitaries of (..., depth+1, 2) easy layers."""
+    kron, after_cnot = cliffords.pair_tables()
+    u = kron[layers[..., 0, 0], layers[..., 0, 1]]
+    for k in range(1, layers.shape[-2]):
+        u = after_cnot[layers[..., k, 0], layers[..., k, 1]] @ u
+    return u
 
 
 def circuit_unitary(circuit: TwoQubitCircuit) -> np.ndarray:
     """Noiseless state-vector oracle for the full circuit."""
-    kron, after_cnot = cliffords.pair_tables()
-    ia, ib = circuit.easy_layers[0]
-    u = kron[ia][ib].copy()
-    for ia, ib in circuit.easy_layers[1:]:
-        u = after_cnot[ia][ib] @ u
-    return u
+    return _unitaries(_layers(circuit)[None])[0]
+
+
+def _equivalent(u: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
+    """Where v equals u up to a global phase.
+
+    ``u`` is (..., 4, 4) and ``v`` is (..., V, 4, 4): one pivot per u,
+    the entry of largest magnitude, fixes one phase per v.  Returns
+    (..., V) booleans.
+    """
+    flat_u = u.reshape(u.shape[:-2] + (1, 16))
+    flat_v = v.reshape(v.shape[:-2] + (16,))
+    pivot = np.abs(flat_u).argmax(axis=-1)[..., None]
+    ref = np.take_along_axis(flat_u, pivot, -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phase = np.take_along_axis(flat_v, pivot, -1) / ref
+        deviation = np.abs(flat_v - phase * flat_u).max(axis=-1)
+    return (
+        (np.abs(ref[..., 0]) >= 1e-12)
+        & (np.abs(np.abs(phase[..., 0]) - 1.0) <= tol)
+        & (deviation <= tol)
+    )
 
 
 def unitarily_equivalent(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> bool:
     """True when v equals u up to a global phase."""
-    flat = u.ravel()
-    pivot = int(np.argmax(np.abs(flat)))
-    if abs(flat[pivot]) < 1e-12:
-        return False
-    phase = v.ravel()[pivot] / flat[pivot]
-    if abs(abs(phase) - 1.0) > tol:
-        return False
-    return bool(np.max(np.abs(v - phase * u)) <= tol)
+    return bool(_equivalent(u, v[None], tol)[0])
 
 
 def verify_twirl(bare: TwoQubitCircuit, variant: TwoQubitCircuit, tol: float = 1e-10):
-    _verify_against(circuit_unitary(bare), variant, tol)
+    _verify(circuit_unitary(bare), _unitaries(_layers(variant)[None]), tol)
 
 
-def _verify_against(bare_unitary: np.ndarray, variant: TwoQubitCircuit, tol=1e-10):
-    if not unitarily_equivalent(bare_unitary, circuit_unitary(variant), tol):
+def _verify(bare_unitaries: np.ndarray, variant_unitaries: np.ndarray, tol=1e-10):
+    """Raise unless each (..., V, 4, 4) variant matches its (..., 4, 4) bare one."""
+    if not _equivalent(bare_unitaries, variant_unitaries, tol).all():
         raise AnalysisError("twirled variant is not equivalent to its bare circuit")
 
 
 def _partial_depolarize(rho: np.ndarray, p: float) -> np.ndarray:
-    """Independent single-qubit depolarizing on both qubits.
+    """Independent single-qubit depolarizing on both qubits of (..., 4, 4) states.
 
     Each qubit is driven toward I/2 with probability p while the other
     keeps its marginal: rho -> (1-p) rho + p (I/2 x tr_a rho), then the
@@ -120,12 +160,43 @@ def _partial_depolarize(rho: np.ndarray, p: float) -> np.ndarray:
     if p == 0.0:
         return rho
     eye = np.eye(2) / 2.0
-    r = rho.reshape(2, 2, 2, 2)
-    tr_a = np.einsum("ijil->jl", r)
-    rho = (1.0 - p) * rho + p * np.kron(eye, tr_a)
-    r = rho.reshape(2, 2, 2, 2)
-    tr_b = np.einsum("ijkj->ik", r)
-    return (1.0 - p) * rho + p * np.kron(tr_b, eye)
+    shape = rho.shape
+    split = shape[:-2] + (2, 2, 2, 2)
+    tr_a = np.einsum("...ijil->...jl", rho.reshape(split))
+    kron_a = np.einsum("ik,...jl->...ijkl", eye, tr_a).reshape(shape)
+    rho = (1.0 - p) * rho + p * kron_a
+    tr_b = np.einsum("...ijkj->...ik", rho.reshape(split))
+    kron_b = np.einsum("...ik,jl->...ijkl", tr_b, eye).reshape(shape)
+    return (1.0 - p) * rho + p * kron_b
+
+
+def _seqgen(layers: np.ndarray) -> np.ndarray:
+    """(..., depth+1, 4, 4) easy-layer unitaries of (..., depth+1, 2) indices."""
+    return cliffords.pair_tables()[0][layers[..., 0], layers[..., 1]]
+
+
+def _evolve(mats: np.ndarray, model: MockQubitModel) -> np.ndarray:
+    """(..., 4) noisy outcome probabilities over 00..11.
+
+    ``mats`` holds (..., depth+1, 4, 4) easy-layer unitaries; every
+    hard cycle between them is a CNOT followed by the model's ZZ error
+    and depolarization.
+    """
+    err = zz_error(model.delta) if model.delta else None
+    rho = np.zeros(mats.shape[:-3] + (4, 4), dtype=complex)
+    rho[..., 0, 0] = 1.0
+    for k in range(mats.shape[-3]):
+        if k:
+            rho = cliffords.CNOT @ rho @ cliffords.CNOT
+            if err is not None:
+                rho = err @ rho @ err.conj().T
+            rho = depolarize(rho, model.two_qubit_depol)
+        u = mats[..., k, :, :]
+        rho = u @ rho @ u.conj().swapaxes(-1, -2)
+        if model.p_dep:
+            rho = _partial_depolarize(rho, model.p_dep)
+    probs = np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, None)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def final_probabilities(
@@ -135,42 +206,34 @@ def final_probabilities(
 
     ``seqgen`` optionally holds the precomputed easy-layer unitaries.
     """
-    mats = seqgen if seqgen is not None else _easy_unitaries(circuit)
-    err = zz_error(model.delta) if model.delta else None
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0
-    rho = mats[0] @ rho @ mats[0].conj().T
-    if model.p_dep:
-        rho = _partial_depolarize(rho, model.p_dep)
-    for u in mats[1:]:
-        rho = cliffords.CNOT @ rho @ cliffords.CNOT
-        if err is not None:
-            rho = err @ rho @ err.conj().T
-        rho = depolarize(rho, model.two_qubit_depol)
-        rho = u @ rho @ u.conj().T
-        if model.p_dep:
-            rho = _partial_depolarize(rho, model.p_dep)
-    probs = np.clip(np.diag(rho).real, 0.0, None)
-    return probs / probs.sum()
+    mats = _seqgen(_layers(circuit)) if seqgen is None else np.asarray(seqgen)
+    return _evolve(mats[None], model)[0]
 
 
-def _easy_unitaries(circuit: TwoQubitCircuit) -> list:
-    kron = cliffords.pair_tables()[0]
-    return [kron[a][b] for a, b in circuit.easy_layers]
+def _ideal_probs(layers: np.ndarray) -> np.ndarray:
+    return np.abs(_unitaries(layers)[..., :, 0]) ** 2
 
 
 def ideal_distribution(circuit: TwoQubitCircuit) -> dict:
-    amps = circuit_unitary(circuit)[:, 0]
-    probs = np.abs(amps) ** 2
-    return {BITSTRINGS[i]: float(probs[i]) for i in range(4)}
+    probs = _ideal_probs(_layers(circuit)[None])[0]
+    return dict(zip(BITSTRINGS, probs.tolist()))
+
+
+def _draw_counts(probs: np.ndarray, model: MockQubitModel, shots, rng) -> np.ndarray:
+    """(..., 4) counts through the readout channel, one multinomial call.
+
+    ``shots`` broadcasts against ``probs.shape[:-1]``.
+    """
+    p = np.clip(readout_channel_2q(probs, model), 0.0, None)
+    return rng.multinomial(shots, p / p.sum(axis=-1, keepdims=True))
+
+
+def _distribution(counts: np.ndarray) -> dict:
+    return distribution(dict(zip(BITSTRINGS, counts.tolist())))
 
 
 def sample_counts(probs: np.ndarray, model: MockQubitModel, shots: int, rng) -> dict:
-    p = readout_channel_2q(probs, model)
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum()
-    draws = rng.multinomial(shots, p)
-    return {BITSTRINGS[i]: int(draws[i]) for i in range(4)}
+    return dict(zip(BITSTRINGS, _draw_counts(probs, model, shots, rng).tolist()))
 
 
 @dataclass
@@ -251,14 +314,20 @@ def rc_harness(
     timings = {name: 0.0 for name in STAGES}
 
     t0 = time.perf_counter()
-    ensembles = [
-        [twirl_circuit(circ, rng) for _ in range(variants)] for circ in bare_circuits
+    twirled = [
+        _twirl_layers(_layers(c), rng.integers(4, size=(variants, c.depth, 2)))
+        for c in bare_circuits
     ]
+    # circuits of one depth share every stack from here on
+    groups = {}
+    for i, c in enumerate(bare_circuits):
+        groups.setdefault(c.depth, []).append(i)
+    groups = list(groups.values())
+    bare_stacks = [np.stack([_layers(bare_circuits[i]) for i in g]) for g in groups]
+    variant_stacks = [np.stack([twirled[i] for i in g]) for g in groups]
     if verify:
-        for circ, ensemble in zip(bare_circuits, ensembles):
-            u = circuit_unitary(circ)
-            for variant in ensemble:
-                _verify_against(u, variant)
+        for bare, ensemble in zip(bare_stacks, variant_stacks):
+            _verify(_unitaries(bare), _unitaries(ensemble))
     timings["Compile"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -270,52 +339,41 @@ def rc_harness(
     payload = json.dumps(
         {
             "bare": [c.to_json() for c in bare_circuits],
-            "variants": [[v.to_json() for v in ens] for ens in ensembles],
+            "variants": [layers.tolist() for layers in twirled],
         }
     ).encode()
     transfer_bytes = len(payload)
     timings["Transfer"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    bare_seqs = [_easy_unitaries(c) for c in bare_circuits]
-    variant_seqs = [[_easy_unitaries(v) for v in ens] for ens in ensembles]
+    bare_seqs = [_seqgen(bare) for bare in bare_stacks]
+    variant_seqs = [_seqgen(ensemble) for ensemble in variant_stacks]
     timings["SeqGen"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    bare_probs = [
-        final_probabilities(c, model, seqgen=sg)
-        for c, sg in zip(bare_circuits, bare_seqs)
-    ]
-    variant_probs = [
-        [
-            final_probabilities(v, model, seqgen=sg)
-            for v, sg in zip(ens, seqs)
-        ]
-        for ens, seqs in zip(ensembles, variant_seqs)
-    ]
+    bare_probs = np.empty((len(bare_circuits), 4))
+    variant_probs = np.empty((len(bare_circuits), variants, 4))
+    for g, bare, ensemble in zip(groups, bare_seqs, variant_seqs):
+        bare_probs[g] = _evolve(bare, model)
+        variant_probs[g] = _evolve(ensemble, model)
     timings["Run"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     split = _variant_shots(shots, variants)
-    bare_counts = [sample_counts(p, model, shots, rng) for p in bare_probs]
-    rc_counts = [
-        merge_counts(
-            *(
-                sample_counts(p, model, n, rng)
-                for p, n in zip(probs, split)
-            )
-        )
-        for probs in variant_probs
-    ]
+    bare_counts = _draw_counts(bare_probs, model, shots, rng)
+    rc_counts = _draw_counts(variant_probs, model, split, rng).sum(axis=1)
     timings["Acquire"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    ideal = np.empty((len(bare_circuits), 4))
+    for g, bare in zip(groups, bare_stacks):
+        ideal[g] = _ideal_probs(bare)
     bare_tvd = np.empty(len(bare_circuits))
     rc_tvd = np.empty(len(bare_circuits))
-    for i, circ in enumerate(bare_circuits):
-        ideal = ideal_distribution(circ)
-        bare_tvd[i] = tvd(distribution(bare_counts[i]), ideal)
-        rc_tvd[i] = tvd(distribution(rc_counts[i]), ideal)
+    for i, probs in enumerate(ideal.tolist()):
+        target = dict(zip(BITSTRINGS, probs))
+        bare_tvd[i] = tvd(_distribution(bare_counts[i]), target)
+        rc_tvd[i] = tvd(_distribution(rc_counts[i]), target)
     timings["Process"] = time.perf_counter() - t0
 
     return TVDReport(

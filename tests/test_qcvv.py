@@ -647,8 +647,143 @@ def per_gate_rb(model, lengths, sequences_per_length, shots, seed, d):
     return _finish(lengths, means, errs, d)
 
 
-def _rc_json(circuits, variants, model, shots, seed):
-    blob = rc_harness(circuits, variants, model, shots, seed=seed).to_json()
+def _rc_json(circuits, variants, model, shots, seed, verify=True):
+    blob = rc_harness(circuits, variants, model, shots, seed, verify).to_json()
+    del blob["stage_seconds"]
+    return json.dumps(blob)
+
+
+# The RC harness as it was written one variant at a time, on the
+# per-gate unitaries above: scalar twirl draws, one equivalence check,
+# one density-matrix evolution and one multinomial draw per variant.
+
+
+def per_variant_twirl(circuit, rng):
+    layers = [list(layer) for layer in circuit.easy_layers]
+    compose, pidx = cl.COMPOSE, cl.PAULI_INDEX
+    for cycle in range(circuit.depth):
+        pa = "IXYZ"[int(rng.integers(4))]
+        pb = "IXYZ"[int(rng.integers(4))]
+        qa, qb = cl.CNOT_FRAME[(pa, pb)]
+        layers[cycle][0] = int(compose[pidx[pa], layers[cycle][0]])
+        layers[cycle][1] = int(compose[pidx[pb], layers[cycle][1]])
+        layers[cycle + 1][0] = int(compose[layers[cycle + 1][0], pidx[qa]])
+        layers[cycle + 1][1] = int(compose[layers[cycle + 1][1], pidx[qb]])
+    return TwoQubitCircuitStub(*(tuple(layer) for layer in layers))
+
+
+def per_variant_equivalent(u, v, tol=1e-10):
+    flat = u.ravel()
+    pivot = int(np.argmax(np.abs(flat)))
+    if abs(flat[pivot]) < 1e-12:
+        return False
+    phase = v.ravel()[pivot] / flat[pivot]
+    if abs(abs(phase) - 1.0) > tol:
+        return False
+    return bool(np.max(np.abs(v - phase * u)) <= tol)
+
+
+def per_variant_depolarize(rho, strength):
+    if strength == 0.0:
+        return rho
+    return (1.0 - strength) * rho + strength * np.trace(rho).real * np.eye(4) / 4
+
+
+def per_variant_partial_depolarize(rho, p):
+    if p == 0.0:
+        return rho
+    eye = np.eye(2) / 2.0
+    tr_a = np.einsum("ijil->jl", rho.reshape(2, 2, 2, 2))
+    rho = (1.0 - p) * rho + p * np.kron(eye, tr_a)
+    tr_b = np.einsum("ijkj->ik", rho.reshape(2, 2, 2, 2))
+    return (1.0 - p) * rho + p * np.kron(tr_b, eye)
+
+
+def per_variant_final_probabilities(circuit, model):
+    mats = per_gate_easy_unitaries(circuit)
+    err = np.diag(np.exp(-0.5j * model.delta * np.array([1.0, -1.0, -1.0, 1.0])))
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = 1.0
+    rho = mats[0] @ rho @ mats[0].conj().T
+    rho = per_variant_partial_depolarize(rho, model.p_dep)
+    for u in mats[1:]:
+        rho = cl.CNOT @ rho @ cl.CNOT
+        if model.delta:
+            rho = err @ rho @ err.conj().T
+        rho = per_variant_depolarize(rho, model.two_qubit_depol)
+        rho = u @ rho @ u.conj().T
+        rho = per_variant_partial_depolarize(rho, model.p_dep)
+    probs = np.clip(np.diag(rho).real, 0.0, None)
+    return probs / probs.sum()
+
+
+def per_variant_sample_counts(probs, model, shots, rng):
+    if model.eps01 or model.eps10:
+        flip = np.array(
+            [[1.0 - model.eps01, model.eps10], [model.eps01, 1.0 - model.eps10]]
+        )
+        probs = np.kron(flip, flip) @ probs
+    p = np.clip(probs, 0.0, None)
+    draws = rng.multinomial(shots, p / p.sum())
+    return {key: int(draws[i]) for i, key in enumerate(("00", "01", "10", "11"))}
+
+
+def per_variant_rc_json(bare_circuits, variants, model, shots, seed, verify=True):
+    from qubicforge.qcvv.rc import TVDReport
+
+    rng = np.random.default_rng(seed)
+    ensembles = [
+        [per_variant_twirl(circ, rng) for _ in range(variants)]
+        for circ in bare_circuits
+    ]
+    if verify:
+        for circ, ensemble in zip(bare_circuits, ensembles):
+            u = per_gate_circuit_unitary(circ)
+            for variant in ensemble:
+                if not per_variant_equivalent(u, per_gate_circuit_unitary(variant)):
+                    raise AnalysisError(
+                        "twirled variant is not equivalent to its bare circuit"
+                    )
+    payload = json.dumps(
+        {
+            "bare": [c.to_json() for c in bare_circuits],
+            "variants": [[v.to_json() for v in ens] for ens in ensembles],
+        }
+    ).encode()
+    base, extra = divmod(shots, variants)
+    split = [base + (1 if i < extra else 0) for i in range(variants)]
+    bare_counts = [
+        per_variant_sample_counts(
+            per_variant_final_probabilities(c, model), model, shots, rng
+        )
+        for c in bare_circuits
+    ]
+    rc_counts = [
+        merge_counts(
+            *(
+                per_variant_sample_counts(
+                    per_variant_final_probabilities(v, model), model, n, rng
+                )
+                for v, n in zip(ens, split)
+            )
+        )
+        for ens in ensembles
+    ]
+    bare_tvd, rc_tvd = [], []
+    for i, circ in enumerate(bare_circuits):
+        amps = per_gate_circuit_unitary(circ)[:, 0]
+        probs = np.abs(amps) ** 2
+        ideal = {key: float(probs[k]) for k, key in enumerate(("00", "01", "10", "11"))}
+        bare_tvd.append(tvd(distribution(bare_counts[i]), ideal))
+        rc_tvd.append(tvd(distribution(rc_counts[i]), ideal))
+    blob = TVDReport(
+        bare_tvd=np.array(bare_tvd),
+        rc_tvd=np.array(rc_tvd),
+        variants=variants,
+        shots_per_circuit=shots,
+        stage_seconds={},
+        transfer_bytes=len(payload),
+    ).to_json()
     del blob["stage_seconds"]
     return json.dumps(blob)
 
@@ -689,11 +824,7 @@ class TestGateTables:
             assert json.dumps(got) == json.dumps(want)
 
         got = _rc_json(circuits, 3, model, 90, seed)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rc_module, "circuit_unitary", per_gate_circuit_unitary)
-            mp.setattr(rc_module, "_easy_unitaries", per_gate_easy_unitaries)
-            want = _rc_json(circuits, 3, model, 90, seed)
-        assert got == want
+        assert got == per_variant_rc_json(circuits, 3, model, 90, seed)
 
     def test_bloch_rotation_runs_24_times_per_delta(self, monkeypatch):
         calls = []
@@ -727,11 +858,160 @@ class TestGateTables:
         with pytest.raises(ValueError):
             clifford_bloch_table(0.0)[1][0, 0] = 2.0
         kron, after_cnot = cl.pair_tables()
+        assert kron.shape == after_cnot.shape == (24, 24, 4, 4)
         with pytest.raises(ValueError):
             after_cnot[3][4][0, 0] = 2.0
         u = circuit_unitary(TwoQubitCircuitStub((1, 2)))
         u[0, 0] = 2.0
         assert kron[1][2][0, 0] != 2.0
+
+
+class TestStackedRC:
+    """The harness on stacks of variants, against the per-variant code."""
+
+    @given(
+        depths=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+        variants=st.integers(1, 25),
+        base=st.integers(1, 60),
+        extra=st.integers(0, 24),
+        delta=st.one_of(st.just(0.0), st.floats(-0.3, 0.3)),
+        p_dep=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+        two_qubit_depol=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+        eps=st.one_of(
+            st.just((0.0, 0.0)), st.tuples(st.floats(0, 0.1), st.floats(0, 0.1))
+        ),
+        verify=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_harness_matches_per_variant_code(
+        self, depths, variants, base, extra, delta, p_dep, two_qubit_depol, eps,
+        verify, seed,
+    ):
+        model = MockQubitModel(
+            p_dep=p_dep,
+            delta=delta,
+            two_qubit_depol=two_qubit_depol,
+            eps01=eps[0],
+            eps10=eps[1],
+        )
+        rng = np.random.default_rng(seed)
+        circuits = [random_circuit(rng, d) for d in depths]
+        shots = base * variants + extra % variants
+        got = _rc_json(circuits, variants, model, shots, seed, verify)
+        want = per_variant_rc_json(circuits, variants, model, shots, seed, verify)
+        assert got == want
+
+    def test_single_circuit_calls_match_per_variant_code(self):
+        model = MockQubitModel(
+            delta=0.1, p_dep=0.01, two_qubit_depol=0.02, eps01=0.03, eps10=0.05
+        )
+        rng = np.random.default_rng(14)
+        old, new = np.random.default_rng(15), np.random.default_rng(15)
+        for depth in (1, 2, 5, 9):
+            circ = random_circuit(rng, depth)
+            variant = twirl_circuit(circ, new)
+            assert variant == per_variant_twirl(circ, old)
+            verify_twirl(circ, variant)
+            probs = final_probabilities(variant, model)
+            want = per_variant_final_probabilities(variant, model)
+            assert probs.tobytes() == want.tobytes()
+            counts = rc_module.sample_counts(probs, model, 1001, new)
+            assert counts == per_variant_sample_counts(probs, model, 1001, old)
+        assert new.bit_generator.state == old.bit_generator.state
+
+    @pytest.mark.parametrize("wrong", [0, 9, 19])
+    def test_verification_rejects_one_wrong_variant(self, monkeypatch, wrong):
+        """One variant twirled with a wrong CNOT frame table fails the harness.
+
+        Conjugation by CNOT is a bijection on Pauli pairs, so a table
+        shifted by one Pauli code maps every pair to a wrong one.
+        """
+        real = rc_module._twirl_layers
+        wrong_table = np.roll(cl.CNOT_FRAME_INDEX, 1, axis=0)
+
+        def twirl(bare, codes):
+            layers = real(bare, codes)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cl, "CNOT_FRAME_INDEX", wrong_table)
+                broken = real(bare, codes[wrong : wrong + 1])[0]
+            assert not np.array_equal(broken, layers[wrong])
+            layers[wrong] = broken
+            return layers
+
+        rng = np.random.default_rng(16)
+        circuits = [random_circuit(rng, 1)]
+        model = MockQubitModel(delta=0.05)
+        rc_harness(circuits, 20, model, 2000, seed=17, verify=True)
+        monkeypatch.setattr(rc_module, "_twirl_layers", twirl)
+        with pytest.raises(
+            AnalysisError, match="twirled variant is not equivalent to its bare circuit"
+        ):
+            rc_harness(circuits, 20, model, 2000, seed=17, verify=True)
+        # unverified, the wrong variant runs
+        rc_harness(circuits, 20, model, 2000, seed=17, verify=False)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 101])
+    def test_array_draws_equal_scalar_draws(self, n):
+        """Pin the numpy behavior that lets a stack draw what a loop drew.
+
+        ``integers(4)`` takes one 32-bit word per value whether drawn
+        singly or as an array, and ``multinomial`` over a stack of
+        distributions draws them in row order.  If a numpy upgrade
+        breaks either, every RC output changes, and this fails first.
+        """
+        scalar, array = np.random.default_rng(n), np.random.default_rng(n)
+        assert [int(scalar.integers(4)) for _ in range(n)] == array.integers(
+            4, size=n
+        ).tolist()
+        assert scalar.bit_generator.state == array.bit_generator.state
+
+        probs = scalar.random((n, 4))
+        probs /= probs.sum(axis=1, keepdims=True)
+        array.random((n, 4))
+        shots = np.arange(n) % 5 + 1000
+        sequential = [scalar.multinomial(int(k), p) for k, p in zip(shots, probs)]
+        assert np.array_equal(array.multinomial(shots, probs), sequential)
+        assert scalar.bit_generator.state == array.bit_generator.state
+
+    def test_golden_output(self):
+        """Fixed-seed report bytes, recorded from the per-variant harness."""
+        from qubicforge.qcvv.rc import TwoQubitCircuit
+
+        circuits = [
+            TwoQubitCircuit(layers)
+            for layers in (
+                ((5, 16), (2, 5)),
+                ((7, 7), (21, 19), (21, 23), (1, 3), (20, 1)),
+                ((3, 4), (21, 8), (6, 4)),
+                ((11, 14), (19, 14), (23, 2), (11, 13), (16, 0)),
+            )
+        ]
+        model = MockQubitModel(
+            delta=0.1, p_dep=0.01, two_qubit_depol=0.02, eps01=0.02, eps10=0.03
+        )
+        golden = {
+            "bare_tvd": [
+                0.023180458624127445,
+                0.05234297108673992,
+                0.10269192422731707,
+                0.12961116650049703,
+            ],
+            "rc_tvd": [
+                0.011216350947158352,
+                0.0244267198404787,
+                0.07776669990029814,
+                0.13260219341973928,
+            ],
+            "variants": 6,
+            "shots_per_circuit": 1003,
+            "bare_mean": 0.07695663010967037,
+            "bare_std": 0.04807117776795251,
+            "rc_mean": 0.06150299102691861,
+            "rc_std": 0.055446673668835794,
+            "transfer_bytes": 1043,
+        }
+        assert _rc_json(circuits, 6, model, 1003, 11) == json.dumps(golden)
 
 
 def TwoQubitCircuitStub(*layers):
