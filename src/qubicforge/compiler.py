@@ -24,6 +24,7 @@ waveforms for any circuit they both accept.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import zlib
@@ -36,6 +37,7 @@ from .chipcfg import (
     ChipConfig,
     GatePulseSpec,
     HardwareConfig,
+    load_hardware_config,
     parse_envelope,
     parse_phase,
     _load_json,
@@ -377,21 +379,26 @@ class _DynamicAllocator:
         self.dedup = dedup
         self.memory = {}  # element -> list of stored words
         self.regions = {}  # (element, words) -> start
-        self.busy = {}  # element -> list of (n0, n1)
+        # element -> sorted list of (n0, n1).  No two reserved windows
+        # overlap, so sorted by start they are sorted by end as well.
+        self.busy = {}
         self.layout = {}  # element -> list of (start, length, label)
 
     def _has_room(self, element, n_words):
         return len(self.memory.get(element, ())) + n_words <= self.hw.envelope_buffer_depth
 
     def _time_free(self, element, n0, n1):
-        return all(hi <= n0 or lo >= n1 for lo, hi in self.busy.get(element, ()))
+        """No reserved window (lo, hi) has hi > n0 and lo < n1."""
+        busy = self.busy.get(element, ())
+        k = bisect.bisect_right(busy, n0, key=lambda window: window[1])
+        return k == len(busy) or busy[k][0] >= n1
 
     def _reserve_time(self, element, n0, n1, what):
         if not self._time_free(element, n0, n1):
             raise CompileError(
                 f"{what}: element {element} is busy during samples [{n0}, {n1})"
             )
-        self.busy.setdefault(element, []).append((n0, n1))
+        bisect.insort(self.busy.setdefault(element, []), (n0, n1))
 
     def place_up(self, element, words, n0, n1, label, source):
         hw = self.hw
@@ -544,58 +551,76 @@ class CompiledProgram:
             words = self.image.envelopes[element]
             out += element.to_bytes(2, "big")
             out += len(words).to_bytes(4, "big")
-            for w in words:
-                out += int(w).to_bytes(4, "big")
+            out += np.asarray(words, dtype=">u4").tobytes()
         out += len(self.image.commands).to_bytes(4, "big")
-        for cmd in self.image.commands:
-            out += int(cmd).to_bytes(16, "big")
+        out += b"".join(int(cmd).to_bytes(16, "big") for cmd in self.image.commands)
         out += zlib.crc32(bytes(out)).to_bytes(4, "big")
         return bytes(out)
 
     @classmethod
     def deserialize(cls, blob: bytes) -> "CompiledProgram":
+        """Parse a container; every field must fill the bytes exactly.
+
+        Raises CompileError for a wrong magic, checksum or version, a
+        truncated or overlong body, a malformed meta block, or envelope
+        segments out of element order.
+        """
         if len(blob) < 16 or blob[:4] != cls.MAGIC:
             raise CompileError("not a compiled program container")
         if zlib.crc32(blob[:-4]) != int.from_bytes(blob[-4:], "big"):
             raise CompileError("compiled program container fails its checksum")
         if blob[4] != cls.VERSION:
             raise CompileError(f"unsupported container version {blob[4]}")
+        if any(blob[5:8]):
+            raise CompileError("compiled program container has nonzero pad bytes")
+        body = memoryview(blob)[:-4]
         pos = 8
-        meta_len = int.from_bytes(blob[pos : pos + 4], "big")
-        pos += 4
-        meta = json.loads(blob[pos : pos + meta_len].decode())
-        pos += meta_len
-        from .chipcfg import load_hardware_config
 
-        hw = load_hardware_config(meta["hw"])
-        n_elements = int.from_bytes(blob[pos : pos + 2], "big")
-        pos += 2
+        def take(n):
+            nonlocal pos
+            if pos + n > len(body):
+                raise CompileError("compiled program container is truncated")
+            pos += n
+            return body[pos - n : pos]
+
+        def number(n):
+            return int.from_bytes(take(n), "big")
+
+        meta_blob = take(number(4))
+        try:
+            meta = json.loads(bytes(meta_blob).decode())
+            hw_json = meta["hw"]
+            if not isinstance(hw_json, dict):
+                raise TypeError("hw is not an object")
+            hw = load_hardware_config(hw_json)
+            repeat_cycles = meta["repeat_cycles"]
+            if type(repeat_cycles) is not int or repeat_cycles < 1:
+                raise TypeError("repeat_cycles is not a positive integer")
+            allocator = meta.get("allocator", "unknown")
+        except (ValueError, KeyError, TypeError, ConfigError) as exc:
+            raise CompileError(f"compiled program container has a malformed meta block: {exc}") from None
         envelopes = {}
-        for _ in range(n_elements):
-            element = int.from_bytes(blob[pos : pos + 2], "big")
-            n_words = int.from_bytes(blob[pos + 2 : pos + 6], "big")
-            pos += 6
-            words = tuple(
-                int.from_bytes(blob[pos + 4 * k : pos + 4 * k + 4], "big")
-                for k in range(n_words)
+        element = -1
+        for _ in range(number(2)):
+            previous, element = element, number(2)
+            if element <= previous:
+                raise CompileError("compiled program container has envelope segments out of order")
+            envelopes[element] = np.frombuffer(take(4 * number(4)), dtype=">u4")
+        raw = take(16 * number(4))
+        if pos != len(body):
+            raise CompileError(
+                f"compiled program container has {len(body) - pos} trailing bytes"
             )
-            pos += 4 * n_words
-            envelopes[element] = words
-        n_cmds = int.from_bytes(blob[pos : pos + 4], "big")
-        pos += 4
         commands = tuple(
-            int.from_bytes(blob[pos + 16 * k : pos + 16 * k + 16], "big")
-            for k in range(n_cmds)
+            int.from_bytes(raw[k : k + 16], "big") for k in range(0, len(raw), 16)
         )
-        image = ProgramImage(
-            commands=commands, envelopes=envelopes, repeat_cycles=meta["repeat_cycles"]
-        )
+        image = ProgramImage(commands=commands, envelopes=envelopes, repeat_cycles=repeat_cycles)
         return cls(
             image=image,
             hw=hw,
             commands=tuple(cmdcodec.decode(c) for c in commands),
             tp=(),
-            allocator=meta.get("allocator", "unknown"),
+            allocator=allocator,
             layout={},
         )
 

@@ -22,6 +22,11 @@ Regions:
   per down element.  Reading never drains; clear explicitly.
 * ACQ: raw capture, one 32-bit word per sample, I in the top half.
 * CONTROL: 32-bit registers (see the REG_* constants).
+* ENVELOPE_CRC: read-only, one 32-bit word per up element: the CRC-32
+  of that element's whole envelope memory as big-endian words.
+
+``upload_program`` reads ENVELOPE_CRC and writes a compiled program's
+envelopes only where the device does not already hold them.
 
 Ops: WRITE, READ, START (begin a run in the background), STOP, STATUS.
 STATUS returns three u32s: running flag, shots completed, fault count.
@@ -42,7 +47,7 @@ import numpy as np
 
 from . import cmdcodec
 from .dspsim import AcqConfig, ProgramImage, Simulator, acc_windows
-from .envgen import iq_lanes
+from .envgen import iq_lanes, u32_array
 from .errors import SimulationError, TransportError
 
 MAGIC = b"QBC1"
@@ -63,6 +68,7 @@ REGION_ENVELOPE = 2
 REGION_ACC = 3
 REGION_ACQ = 4
 REGION_CONTROL = 5
+REGION_ENVELOPE_CRC = 6
 
 STATUS_OK = 0
 STATUS_BAD_REGION = 1
@@ -97,6 +103,7 @@ REGION_WORD_SIZE = {
     REGION_ACC: 4,
     REGION_ACQ: 4,
     REGION_CONTROL: 4,
+    REGION_ENVELOPE_CRC: 4,
 }
 
 
@@ -144,6 +151,27 @@ def decode_packet(data: bytes) -> Packet:
         count=count,
         payload=data[HEADER_SIZE:-CRC_SIZE],
     )
+
+
+def _unpack_commands(payload) -> list:
+    return [
+        int.from_bytes(payload[k : k + COMMAND_WORD_SIZE], "big")
+        for k in range(0, len(payload), COMMAND_WORD_SIZE)
+    ]
+
+
+def _pack_words(region, words) -> bytes:
+    """Big-endian payload of ``words``; TransportError if one does not fit."""
+    if region == REGION_COMMAND:
+        words = [int(w) for w in words]
+        bad = next((w for w in words if not 0 <= w < 1 << 8 * COMMAND_WORD_SIZE), None)
+        if bad is not None:
+            raise TransportError(f"command word {bad:#x} does not fit 128 bits")
+        return b"".join(w.to_bytes(COMMAND_WORD_SIZE, "big") for w in words)
+    try:
+        return u32_array(words).astype(">u4").tobytes()
+    except ValueError as exc:
+        raise TransportError(f"region {region}: {exc}") from None
 
 
 def acq_words(acq_array) -> np.ndarray:
@@ -268,9 +296,10 @@ class DeviceServer:
         with self._lock:
             self.commands = [0] * self.hw.command_buffer_depth
             self.envelopes = {
-                e: [0] * self.hw.envelope_buffer_depth
+                e: np.zeros(self.hw.envelope_buffer_depth, dtype=">u4")
                 for e in range(self.hw.n_processing_elements_up)
             }
+            self._envelope_crc = {}  # element -> CRC-32, dropped on every write
             self.control = [0] * N_CONTROL_REGS
             self.control[REG_REPEAT_CYCLES] = 1
             self.acc = {
@@ -380,17 +409,21 @@ class DeviceServer:
             entries = self.acc.get(unit)
             if entries is None:
                 return None
-            words = []
-            for i, q in entries:
-                words.append(i & 0xFFFFFFFF)
-                words.append(q & 0xFFFFFFFF)
-            return words, 4, False
+            return np.array(entries, dtype=np.int64).reshape(-1), 4, False
         if region == REGION_ACQ:
             # One word per I/Q row; _op_read packs only the rows it serves.
             return self.acq, 4, False
         if region == REGION_CONTROL:
             return self.control, 4, True
+        if region == REGION_ENVELOPE_CRC:
+            return self._envelope_crcs(), 4, False
         return None
+
+    def _envelope_crcs(self):
+        for e, words in self.envelopes.items():
+            if e not in self._envelope_crc:
+                self._envelope_crc[e] = zlib.crc32(words)
+        return [self._envelope_crc[e] for e in sorted(self.envelopes)]
 
     def _op_write(self, request):
         got = self._region_store(request.region, request.unit)
@@ -404,16 +437,17 @@ class DeviceServer:
         count = request.count
         if len(request.payload) != count * word_size:
             return self._status_reply(request, STATUS_BAD_RANGE)
-        if request.offset + count > len(store):
+        lo = request.offset
+        if lo + count > len(store):
             return self._status_reply(request, STATUS_BAD_RANGE)
-        for k in range(count):
-            word = int.from_bytes(
-                request.payload[k * word_size : (k + 1) * word_size], "big"
-            )
-            if request.region == REGION_CONTROL:
-                self._write_control(request.offset + k, word)
-            else:
-                store[request.offset + k] = word
+        if request.region == REGION_COMMAND:
+            store[lo : lo + count] = _unpack_commands(request.payload)
+        elif request.region == REGION_CONTROL:
+            for reg, value in enumerate(np.frombuffer(request.payload, ">u4").tolist(), lo):
+                self._write_control(reg, value)
+        else:
+            store[lo : lo + count] = np.frombuffer(request.payload, ">u4")
+            self._envelope_crc.pop(request.unit, None)
         return self._status_reply(request, STATUS_OK)
 
     def _write_control(self, reg, value):
@@ -435,9 +469,13 @@ class DeviceServer:
         if request.offset + count > len(store):
             return self._status_reply(request, STATUS_BAD_RANGE)
         words = store[request.offset : request.offset + count]
-        if request.region == REGION_ACQ:
-            words = acq_words(words)
-        payload = b"".join(int(w).to_bytes(word_size, "big") for w in words)
+        if request.region == REGION_COMMAND:
+            payload = b"".join(w.to_bytes(COMMAND_WORD_SIZE, "big") for w in words)
+        else:
+            if request.region == REGION_ACQ:
+                words = acq_words(words)
+            # ACC entries are signed: the cast keeps their two's complement
+            payload = np.asarray(words, dtype=np.int64).astype(">u4").tobytes()
         return self._status_reply(request, STATUS_OK, payload)
 
     def _op_start(self, request):
@@ -592,39 +630,47 @@ class DeviceClient:
     # -- memory access ----------------------------------------------------
 
     def write_region(self, region, unit, offset, words):
+        """Write ``words`` from ``offset`` on, one datagram per chunk.
+
+        Every word is checked against the region's word size before
+        anything is sent.
+        """
         word_size = REGION_WORD_SIZE.get(region, 4)
-        per_chunk = MAX_PAYLOAD // word_size
-        words = list(words)
-        pos = 0
-        while pos < len(words):
-            chunk = words[pos : pos + per_chunk]
-            payload = b"".join(int(w).to_bytes(word_size, "big") for w in chunk)
+        payload = _pack_words(region, words)
+        chunk = MAX_PAYLOAD // word_size * word_size
+        for pos in range(0, len(payload), chunk):
+            part = payload[pos : pos + chunk]
             self._request(
                 OP_WRITE,
                 region=region,
                 unit=unit,
-                offset=offset + pos,
-                count=len(chunk),
-                payload=payload,
+                offset=offset + pos // word_size,
+                count=len(part) // word_size,
+                payload=part,
             )
-            pos += len(chunk)
 
-    def read_region(self, region, unit, offset, count):
+    def _read_bytes(self, region, unit, offset, count) -> bytes:
         word_size = REGION_WORD_SIZE.get(region, 4)
         per_chunk = MAX_PAYLOAD // word_size
-        words = []
-        pos = 0
-        while pos < count:
+        parts = []
+        for pos in range(0, count, per_chunk):
             n = min(per_chunk, count - pos)
             reply = self._request(
                 OP_READ, region=region, unit=unit, offset=offset + pos, count=n
             )
-            for k in range(n):
-                words.append(
-                    int.from_bytes(reply.payload[k * word_size : (k + 1) * word_size], "big")
+            if len(reply.payload) != n * word_size:
+                raise TransportError(
+                    f"read of {n} words answered with {len(reply.payload)} bytes",
+                    last_seq=reply.seq,
                 )
-            pos += n
-        return words
+            parts.append(reply.payload)
+        return b"".join(parts)
+
+    def read_region(self, region, unit, offset, count):
+        data = self._read_bytes(region, unit, offset, count)
+        if region == REGION_COMMAND:
+            return _unpack_commands(data)
+        return np.frombuffer(data, ">u4").tolist()
 
     def write_control(self, reg, value):
         self.write_region(REGION_CONTROL, 0, reg, [value])
@@ -635,13 +681,43 @@ class DeviceClient:
     # -- program workflow ---------------------------------------------------
 
     def upload_program(self, program):
-        """Load a compiled program's buffers and control registers."""
+        """Load a program's buffers and control registers.
+
+        A compiled program's envelopes are resident: one READ of
+        ENVELOPE_CRC, then a WRITE of the words, zero-padded to depth, of
+        each up element (those its envelopes name or its commands
+        address) whose device CRC differs.  Afterwards the device's
+        envelope memory is what a local run of the program reads.  A bare
+        image carries no envelope depth, so its envelopes are written as
+        given.
+        """
         image = program.image if hasattr(program, "image") else program
         self.write_region(REGION_COMMAND, 0, 0, image.commands)
-        for element in sorted(image.envelopes):
-            self.write_region(REGION_ENVELOPE, element, 0, image.envelopes[element])
-        self.write_control(REG_N_COMMANDS, len(image.commands))
-        self.write_control(REG_REPEAT_CYCLES, image.repeat_cycles)
+        if hasattr(program, "hw"):
+            self._load_envelopes(program)
+        else:
+            for element in sorted(image.envelopes):
+                self.write_region(REGION_ENVELOPE, element, 0, image.envelopes[element])
+        self.write_region(
+            REGION_CONTROL, 0, REG_REPEAT_CYCLES, [image.repeat_cycles, len(image.commands)]
+        )
+
+    def _load_envelopes(self, program):
+        envelopes = program.image.envelopes
+        n_up = program.hw.n_processing_elements_up
+        depth = program.hw.envelope_buffer_depth
+        elements = sorted(
+            set(envelopes) | {cmd.element for cmd in program.commands if cmd.element < n_up}
+        )
+        if not elements:
+            return
+        crcs = self.read_region(REGION_ENVELOPE_CRC, 0, 0, elements[-1] + 1)
+        for element in elements:
+            words = envelopes.get(element, ())
+            padded = np.zeros(max(depth, len(words)), dtype=">u4")
+            padded[: len(words)] = words
+            if zlib.crc32(padded) != crcs[element]:
+                self.write_region(REGION_ENVELOPE, element, 0, padded)
 
     def clear_acc(self):
         self.write_control(REG_ACC_CLEAR, 1)
@@ -667,19 +743,11 @@ class DeviceClient:
         raise TransportError("device run did not finish")
 
     def read_acc(self, element, n_entries):
-        words = self.read_region(REGION_ACC, element, 0, 2 * n_entries)
-        arr = np.array(words, dtype=np.int64).reshape(-1, 2)
-        # two's complement i32
-        return np.where(arr >= 1 << 31, arr - (1 << 32), arr)
+        data = self._read_bytes(REGION_ACC, element, 0, 2 * n_entries)
+        return np.frombuffer(data, ">i4").astype(np.int64).reshape(-1, 2)
 
     def read_acq(self, length):
-        words = self.read_region(REGION_ACQ, 0, 0, length)
-        return acq_from_words(words)
-
-    def configure_acq(self, tap, unit, length):
-        self.write_control(REG_ACQ_TAP, _ACQ_TAPS.index(tap))
-        self.write_control(REG_ACQ_UNIT, unit)
-        self.write_control(REG_ACQ_LEN, length)
+        return acq_from_words(np.frombuffer(self._read_bytes(REGION_ACQ, 0, 0, length), ">u4"))
 
     def run_program(self, program, shots, acq=None, n_up=None) -> RemoteResult:
         """Upload, run, and collect: the full remote execution cycle.
@@ -694,11 +762,9 @@ class DeviceClient:
                 raise TransportError("n_up is required when running a bare image")
             n_up = program.hw.n_processing_elements_up
         self.upload_program(program)
-        self.clear_acc()
-        if acq is not None:
-            self.configure_acq(acq.tap, acq.unit, acq.length)
-        else:
-            self.write_control(REG_ACQ_LEN, 0)
+        # ACC_CLEAR, ACQ_TAP, ACQ_UNIT, ACQ_LEN
+        capture = [0, 0, 0] if acq is None else [_ACQ_TAPS.index(acq.tap), acq.unit, acq.length]
+        self.write_region(REGION_CONTROL, 0, REG_ACC_CLEAR, [1, *capture])
         self.start(shots)
         done, faults = self.wait()
         if hasattr(program, "image"):

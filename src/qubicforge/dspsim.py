@@ -33,7 +33,7 @@ import numpy as np
 
 from . import cmdcodec
 from .cmdcodec import CommandFields
-from .envgen import iq_lanes
+from .envgen import iq_lanes, u32_array
 from .errors import SimulationError
 
 FULL_SCALE = 32767
@@ -46,12 +46,9 @@ _ANGLE_BITS = 30  # internal angle resolution, units of 2**-30 turns
 _GUARD_BITS = 10  # fractional guard bits on the x/y datapath
 
 # arctan(2**-i) in units of 2**-30 turns
-_ATAN_TABLE = np.array(
-    [
-        round(math.atan(2.0 ** -i) / (2 * math.pi) * (1 << _ANGLE_BITS))
-        for i in range(CORDIC_ITERATIONS)
-    ],
-    dtype=np.int64,
+_ATAN_TABLE = tuple(
+    round(math.atan(2.0 ** -i) / (2 * math.pi) * (1 << _ANGLE_BITS))
+    for i in range(CORDIC_ITERATIONS)
 )
 
 _CORDIC_GAIN = math.prod(math.sqrt(1 + 4.0 ** -i) for i in range(CORDIC_ITERATIONS))
@@ -72,6 +69,9 @@ def cordic_cos_sin(turn_words) -> tuple:
     top two bits select the quadrant; the remainder is rotated from the
     positive x axis by 16 shift-add iterations with a gain-compensated
     start vector.  Returns int64 arrays scaled to +/-32767.
+
+    The datapath is int32: |x|, |y| stay below 2**26 and |z| below 2**29.
+    Each iteration turns by ``sign`` = +1 where z >= 0 and -1 where z < 0.
     """
     words = np.asarray(turn_words, dtype=np.int64)
     if words.ndim == 0:
@@ -82,21 +82,25 @@ def cordic_cos_sin(turn_words) -> tuple:
     quadrant = words >> _QUARTER_SHIFT
     residual = words & ((1 << _QUARTER_SHIFT) - 1)
     # Promote to 2**-30 turn units.
-    z = residual << (_ANGLE_BITS - _TURN_BITS)
+    z = (residual << (_ANGLE_BITS - _TURN_BITS)).astype(np.int32)
 
-    x = np.full(words.shape, _X_INIT, dtype=np.int64)
-    y = np.zeros(words.shape, dtype=np.int64)
-    for i in range(CORDIC_ITERATIONS):
-        positive = z >= 0
+    x = np.full(words.shape, _X_INIT, dtype=np.int32)
+    y = np.zeros(words.shape, dtype=np.int32)
+    for i, atan in enumerate(_ATAN_TABLE):
+        sign = z >> 31
+        sign |= 1
         xs = x >> i
         ys = y >> i
-        x = np.where(positive, x - ys, x + ys)
-        y = np.where(positive, y + xs, y - xs)
-        z = np.where(positive, z - _ATAN_TABLE[i], z + _ATAN_TABLE[i])
+        ys *= sign
+        xs *= sign
+        x -= ys
+        y += xs
+        sign *= atan
+        z -= sign
 
     half = 1 << (_GUARD_BITS - 1)
-    c = (x + half) >> _GUARD_BITS
-    s = (y + half) >> _GUARD_BITS
+    c = ((x + half) >> _GUARD_BITS).astype(np.int64)
+    s = ((y + half) >> _GUARD_BITS).astype(np.int64)
     np.clip(c, -FULL_SCALE, FULL_SCALE, out=c)
     np.clip(s, -FULL_SCALE, FULL_SCALE, out=s)
 
@@ -127,7 +131,8 @@ class ProgramImage:
     """Raw memory content consumed by the simulator.
 
     ``commands`` are 128-bit integers in buffer order; ``envelopes`` maps
-    an element index to its 32-bit envelope memory words.
+    an element index to its 32-bit envelope memory words, held as a tuple
+    of ints.  A word outside [0, 2**32) raises SimulationError.
     """
 
     commands: tuple
@@ -139,10 +144,18 @@ class ProgramImage:
         object.__setattr__(
             self,
             "envelopes",
-            {int(e): tuple(int(w) & 0xFFFFFFFF for w in ws) for e, ws in self.envelopes.items()},
+            {int(e): _envelope_words(e, ws) for e, ws in self.envelopes.items()},
         )
         if self.repeat_cycles < 1:
             raise SimulationError("repeat_cycles must be at least 1")
+
+
+def _envelope_words(element, words) -> tuple:
+    """``words`` as a tuple of ints, each checked to fit 32 bits."""
+    try:
+        return tuple(u32_array(words).tolist())
+    except ValueError as exc:
+        raise SimulationError(f"element {element}: envelope {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -210,11 +210,27 @@ def iq_lanes(words) -> tuple:
     return i, q
 
 
+def u32_array(words) -> np.ndarray:
+    """``words`` as an int64 array, each checked to lie in [0, 2**32).
+
+    Raises ValueError naming the first word that does not fit.
+    """
+    try:
+        arr = np.asarray(words, dtype=np.int64)
+    except OverflowError:  # a Python int beyond int64
+        arr = None
+    if arr is None or np.any((arr < 0) | (arr > 0xFFFFFFFF)):
+        bad = next(int(w) for w in words if not 0 <= int(w) <= 0xFFFFFFFF)
+        raise ValueError(f"word {bad:#x} does not fit 32 bits")
+    return arr
+
+
 def unpack_words(words) -> np.ndarray:
     """Decode packed words into complex samples normalized to full scale."""
-    if len(words) and not (0 <= min(words) and max(words) < 1 << 32):
-        bad = next(int(w) for w in words if not 0 <= w < 1 << 32)
-        raise EnvelopeError(f"envelope word {bad:#x} does not fit 32 bits")
+    try:
+        words = u32_array(words)
+    except ValueError as exc:
+        raise EnvelopeError(f"envelope {exc}") from None
     i, q = iq_lanes(words)
     # Divide each lane on its own: numpy's complex-by-real division
     # multiplies by a reciprocal and can differ in the last bit.

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -218,6 +219,15 @@ class TestDumps:
         bad = tmp_path / "bad.qfpb"
         bad.write_bytes(b"QFPB" + b"\x00" * 40)
         assert main(["dump-envelope", "--program", str(bad)]) == 3
+
+    def test_malformed_meta_block_is_a_compile_error(self, compiled, tmp_path, capsys):
+        blob = (compiled / "program.qfpb").read_bytes()
+        meta_len = int.from_bytes(blob[8:12], "big")
+        body = blob[:8] + (9).to_bytes(4, "big") + b"{not json" + blob[12 + meta_len : -4]
+        bad = tmp_path / "bad.qfpb"
+        bad.write_bytes(body + zlib.crc32(body).to_bytes(4, "big"))
+        assert main(["simulate", "--program", str(bad), "--out", str(tmp_path)]) == 3
+        assert "malformed meta block" in capsys.readouterr().err
 
 
 class TestRemote:

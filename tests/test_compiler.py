@@ -2,9 +2,13 @@
 
 import json
 import math
+import types
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubicforge import CompileError, ConfigError
 from qubicforge.chipcfg import (
@@ -14,6 +18,7 @@ from qubicforge.chipcfg import (
     standard_channel_map,
 )
 from qubicforge.compiler import (
+    _DynamicAllocator,
     Circuit,
     CompiledProgram,
     GateOp,
@@ -352,6 +357,65 @@ class TestLowerToNv:
             compile_circuit(circ, CHIP, GATES, HW, repeat_time=4e-9)
 
 
+class LinearScanAllocator(_DynamicAllocator):
+    """The dynamic allocator with a scan over every reserved window."""
+
+    def _time_free(self, element, n0, n1):
+        return all(hi <= n0 or lo >= n1 for lo, hi in self.busy.get(element, ()))
+
+
+ALLOC_WORDS = [(1, 2, 3), (4, 5), (6,), (1, 2, 3, 4, 5), ()]
+ALLOC_OPS = st.lists(
+    st.tuples(
+        st.booleans(),  # up or down
+        st.integers(0, 4),  # element (up: 0..2, down: 3..4)
+        st.sampled_from(range(len(ALLOC_WORDS))),
+        st.integers(0, 60),  # window start
+        st.integers(0, 12),  # window length
+    ),
+    max_size=40,
+)
+
+
+def run_allocator(alloc, ops):
+    outcomes = []
+    for up, element, words, n0, length in ops:
+        try:
+            if up:
+                outcomes.append(
+                    alloc.place_up(element % 3, ALLOC_WORDS[words], n0, n0 + length, "p", None)
+                )
+            else:
+                outcomes.append(alloc.place_down(3 + element % 2, n0, n0 + length, "d"))
+        except CompileError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+class TestDynamicAllocatorBusyCheck:
+    @given(ops=ALLOC_OPS, dedup=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_linear_scan(self, ops, dedup):
+        # a 6-word memory on each of three up elements, so pulses spill
+        hw = types.SimpleNamespace(envelope_buffer_depth=6, n_processing_elements_up=3)
+        fast = _DynamicAllocator(hw, dedup=dedup)
+        slow = LinearScanAllocator(hw, dedup=dedup)
+        assert run_allocator(fast, ops) == run_allocator(slow, ops)
+        assert (fast.memory, fast.layout) == (slow.memory, slow.layout)
+        for element, windows in fast.busy.items():
+            assert windows == sorted(slow.busy[element])
+
+    def test_spill_and_busy_messages(self):
+        hw = types.SimpleNamespace(envelope_buffer_depth=6, n_processing_elements_up=2)
+        alloc = _DynamicAllocator(hw)
+        assert alloc.place_up(0, (1, 2, 3, 4), 0, 10, "a", None) == (0, 0)
+        assert alloc.place_up(0, (5, 6, 7), 10, 20, "b", None) == (1, 0)  # spills
+        with pytest.raises(CompileError, match=r"b2: element 0 is busy during samples \[5, 6\)"):
+            alloc.place_up(0, (1, 2, 3, 4), 5, 6, "b2", None)
+        with pytest.raises(CompileError, match="exhausted"):
+            alloc.place_up(0, (8, 9, 9, 9), 30, 40, "c", None)
+
+
 class TestStaticAllocator:
     def test_matches_dynamic_waveform(self):
         circ = Circuit(
@@ -438,6 +502,67 @@ class TestSerialization:
         with pytest.raises(CompileError):
             CompiledProgram.deserialize(b"QFPB\x01\x00")
 
+    @given(program=st.sampled_from(range(3)), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_truncation_and_extension_rejected(self, program, data):
+        blob = SAMPLE_BLOBS[program]
+        again = CompiledProgram.deserialize(blob)
+        assert again.serialize() == blob  # an intact container round-trips
+        body = blob[:-4]
+        cut = data.draw(st.integers(0, len(body) - 1), label="cut")
+        extra = data.draw(st.binary(min_size=1, max_size=40), label="extra")
+        for mutant in (body[:cut], body + extra):
+            with pytest.raises(CompileError):
+                CompiledProgram.deserialize(reseal(mutant))
+
+    def test_appended_zero_bytes_rejected(self):
+        blob = SAMPLE_BLOBS[0]
+        with pytest.raises(CompileError, match="12 trailing bytes"):
+            CompiledProgram.deserialize(reseal(blob[:-4] + bytes(12)))
+
+    @pytest.mark.parametrize(
+        "meta",
+        [
+            b"\xff\xfe",  # not UTF-8
+            b"{not json",
+            b"[]",
+            b"{}",  # no hw
+            b'{"hw":"configs/hardware.json","repeat_cycles":4}',  # a path, not an object
+            b'{"hw":{"n_dac_pairs":"four"},"repeat_cycles":4}',
+            b'{"hw":{},"repeat_cycles":0}',
+            b'{"hw":{},"repeat_cycles":"4"}',
+            b'{"hw":{}}',
+        ],
+    )
+    def test_malformed_meta_rejected(self, meta):
+        blob = SAMPLE_BLOBS[0]
+        meta_len = int.from_bytes(blob[8:12], "big")
+        body = blob[:8] + len(meta).to_bytes(4, "big") + meta + blob[12 + meta_len : -4]
+        with pytest.raises(CompileError, match="malformed meta block"):
+            CompiledProgram.deserialize(reseal(body))
+
+    def test_nonzero_pad_rejected(self):
+        body = bytearray(SAMPLE_BLOBS[0][:-4])
+        body[6] = 1
+        with pytest.raises(CompileError, match="pad"):
+            CompiledProgram.deserialize(reseal(bytes(body)))
+
+    def test_segments_out_of_order_rejected(self):
+        prog = compile_circuit(
+            Circuit([gate("X90", "Q6"), gate("X90", "Q7")]), CHIP, GATES, HW
+        )
+        blob = prog.serialize()
+        meta_len = int.from_bytes(blob[8:12], "big")
+        pos = 12 + meta_len
+        assert int.from_bytes(blob[pos : pos + 2], "big") == 2
+        first = 2 + 6 + 4 * int.from_bytes(blob[pos + 4 : pos + 8], "big")
+        segments = blob[pos + 2 : pos + first], blob[pos + first :]
+        second_len = 6 + 4 * int.from_bytes(segments[1][2:6], "big")
+        swapped = segments[1][:second_len] + segments[0] + segments[1][second_len:]
+        body = blob[: pos + 2] + swapped[:-4]
+        with pytest.raises(CompileError, match="out of order"):
+            CompiledProgram.deserialize(reseal(body))
+
     def test_dumps_readable(self):
         circ = Circuit([gate("Y180", "Q6"), VirtualZ("Q6", 0.5), gate("X90", "Q6")])
         prog = compile_circuit(circ, CHIP, GATES, HW)
@@ -472,3 +597,18 @@ class TestCircuitJson:
             load_circuit(json.dumps({"ops": "Y180"}))
         with pytest.raises(ConfigError):
             load_circuit(json.dumps({"ops": [{"virtual_z": {"qubit": "Q6"}}]}))
+
+
+def reseal(body):
+    """``body`` with its CRC-32 appended, as ``serialize`` ends a container."""
+    return body + zlib.crc32(body).to_bytes(4, "big")
+
+
+SAMPLE_BLOBS = [
+    compile_circuit(Circuit(ops), CHIP, GATES, HW, allocator=allocator).serialize()
+    for ops, allocator in (
+        ([gate("Y180", "Q6"), gate("read", "Q6")], "optm"),
+        ([gate("X90", "Q6"), gate("X90", "Q7"), gate("read", "Q6")], "optm"),
+        ([gate("X90", "Q6")], "runc"),
+    )
+]

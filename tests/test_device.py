@@ -4,6 +4,7 @@ import json
 import socket
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from qubicforge.chipcfg import (
     load_hardware_config,
     standard_channel_map,
 )
-from qubicforge.compiler import Circuit, GateOp, compile_circuit, simulate_program
+from qubicforge.compiler import (
+    Circuit,
+    CompiledProgram,
+    GateOp,
+    compile_circuit,
+    simulate_program,
+)
 from qubicforge.device import (
     CRC_SIZE,
     HEADER_SIZE,
@@ -26,13 +33,16 @@ from qubicforge.device import (
     OP_START,
     OP_STATUS,
     OP_WRITE,
+    REG_ACC_CLEAR,
     REG_N_COMMANDS,
     REG_REPEAT_CYCLES,
     REG_SHOTS,
     REGION_ACC,
     REGION_ACQ,
     REGION_COMMAND,
+    REGION_CONTROL,
     REGION_ENVELOPE,
+    REGION_ENVELOPE_CRC,
     DeviceClient,
     DeviceServer,
     LossyTransport,
@@ -335,6 +345,52 @@ class TestMemoryAccess:
                         OP_READ, region=region, unit=element, offset=offset, count=count
                     )
 
+    @pytest.mark.parametrize(
+        "region, bad",
+        [
+            (REGION_ENVELOPE, 1 << 32),
+            (REGION_ENVELOPE, -1),
+            (REGION_ENVELOPE, 1 << 64),
+            (REGION_CONTROL, 1 << 32),
+            (REGION_COMMAND, 1 << 128),
+            (REGION_COMMAND, -1),
+        ],
+    )
+    def test_word_outside_region_range_rejected_before_sending(self, region, bad):
+        transport = RecordingTransport(None)
+        client = DeviceClient(transport, timeout=0.01, retries=0)
+        # the bad word sits in the second datagram's worth of words
+        words = [0] * 3000 + [bad]
+        with pytest.raises(TransportError, match="does not fit"):
+            client.write_region(region, 0, 0, words)
+        assert transport.sent == []
+
+    def test_envelope_crc_region(self, server):
+        depth = HW.envelope_buffer_depth
+        with make_client(server) as client:
+            zero = zlib.crc32(bytes(4 * depth))
+            n_up = HW.n_processing_elements_up
+            assert client.read_region(REGION_ENVELOPE_CRC, 0, 0, n_up) == [zero] * n_up
+            client.write_region(REGION_ENVELOPE, 1, 5, [0xDEADBEEF, 7])
+            memory = client.read_region(REGION_ENVELOPE, 1, 0, depth)
+            want = zlib.crc32(np.array(memory, dtype=">u4").tobytes())
+            assert want != zero
+            assert client.read_region(REGION_ENVELOPE_CRC, 0, 1, 2) == [want, zero]
+            with pytest.raises(TransportError, match="bad op"):
+                client.write_region(REGION_ENVELOPE_CRC, 0, 0, [want])
+            with pytest.raises(TransportError, match="bad range"):
+                client.read_region(REGION_ENVELOPE_CRC, 0, 0, n_up + 1)
+
+    def test_acc_clear_needs_a_nonzero_value(self, server):
+        prog = readout_program()
+        with make_client(server) as client:
+            client.run_program(prog, 2)
+            client.write_control(REG_ACC_CLEAR, 0)
+            assert len(client.read_acc(HW.n_processing_elements_up, 2)) == 2
+            client.write_control(REG_ACC_CLEAR, 1)
+            with pytest.raises(TransportError, match="bad range"):
+                client.read_acc(HW.n_processing_elements_up, 1)
+
     def test_write_while_idle_only(self, server):
         prog = readout_program()
         with make_client(server) as client:
@@ -532,6 +588,134 @@ class TestExecution:
             assert np.array_equal(remote.acc[element], local.acc[element])
         if local.shots_completed:
             assert np.array_equal(remote.acq, local.acq)
+
+
+class RecordingTransport:
+    """Passes datagrams on (when ``inner`` is set) and records each request."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.sent = []
+
+    def send(self, data):
+        p = decode_packet(data)
+        self.sent.append((p.op, p.region, p.unit))
+        if self.inner is not None:
+            self.inner.send(data)
+
+    def recv(self, timeout):
+        return None if self.inner is None else self.inner.recv(timeout)
+
+    def close(self):
+        if self.inner is not None:
+            self.inner.close()
+
+
+def recording_client(srv):
+    return DeviceClient(RecordingTransport(UdpTransport(("127.0.0.1", srv.port))))
+
+
+def envelope_writes(sent):
+    return sorted(unit for op, region, unit in sent if (op, region) == (OP_WRITE, REGION_ENVELOPE))
+
+
+def image_program(image, hw=HW):
+    """``image`` as a compiled program, so the client knows its hardware."""
+    return CompiledProgram(
+        image=image,
+        hw=hw,
+        commands=tuple(map(cmdcodec.decode, image.commands)),
+        tp=(),
+        allocator="test",
+        layout={},
+    )
+
+
+def read_window_image(n_words):
+    """Element 0 plays envelope words [0, 64) onto DAC pair 0, then a down
+    window on pair 0 reads them back; the image stores ``n_words`` words."""
+    up = cmdcodec.CommandFields(element=0, length=64, freq_word=1 << 20, destination=0)
+    down = cmdcodec.CommandFields(
+        element=HW.n_processing_elements_up, length=64, freq_word=1 << 20, destination=0
+    )
+    return ProgramImage(
+        commands=(cmdcodec.encode(up), cmdcodec.encode(down)),
+        envelopes={0: (0x4000 << 16,) * n_words},
+        repeat_cycles=32,
+    )
+
+
+class TestResidentEnvelopes:
+    def test_remote_equals_local_after_a_longer_program(self, server):
+        long, short = image_program(read_window_image(64)), image_program(read_window_image(32))
+        n_up = HW.n_processing_elements_up
+        local = Simulator(HW, wiring=Loopback()).run(short.image, seed=1234)
+        longer = Simulator(HW, wiring=Loopback()).run(long.image, seed=1234)
+        assert not np.array_equal(local.acc[n_up], longer.acc[n_up])
+        with make_client(server) as client:
+            client.run_program(long, 1)
+            remote = client.run_program(short, 1)
+        # words [32, 64) of the longer program are not left behind
+        assert np.array_equal(remote.acc[n_up], local.acc[n_up])
+
+    def test_steady_state_sends_no_envelopes(self, server):
+        progs = [readout_program(1), readout_program(2)]  # the same envelopes
+        with recording_client(server) as client:
+            client.run_program(progs[0], 2)
+            assert envelope_writes(client.transport.sent) == [0, 1]
+            client.transport.sent.clear()
+            result = client.run_program(progs[1], 2)
+        sent = [req for req in client.transport.sent if req[0] != OP_STATUS]
+        assert sent == [
+            (OP_WRITE, REGION_COMMAND, 0),
+            (OP_READ, REGION_ENVELOPE_CRC, 0),
+            (OP_WRITE, REGION_CONTROL, 0),  # REPEAT_CYCLES, N_COMMANDS
+            (OP_WRITE, REGION_CONTROL, 0),  # ACC_CLEAR .. ACQ_LEN
+            (OP_WRITE, REGION_CONTROL, 0),  # SHOTS
+            (OP_START, 0, 0),
+            (OP_READ, REGION_ACC, HW.n_processing_elements_up),
+        ]
+        local = simulate_program(progs[1], wiring=Loopback(), shots=2, seed=1234)
+        assert np.array_equal(result.acc[HW.n_processing_elements_up], local.acc[HW.n_processing_elements_up])
+
+    def test_reupload_after_another_client_writes(self, server):
+        prog = readout_program()
+        local = simulate_program(prog, wiring=Loopback(), shots=2, seed=1234)
+        with recording_client(server) as client, make_client(server) as other:
+            client.run_program(prog, 2)
+            other.write_region(REGION_ENVELOPE, 1, 100, [0x7FFF0000])
+            client.transport.sent.clear()
+            remote = client.run_program(prog, 2)
+            assert envelope_writes(client.transport.sent) == [1]
+        for element in local.acc:
+            assert np.array_equal(remote.acc[element], local.acc[element])
+
+    def test_reupload_after_a_fresh_server(self):
+        prog = readout_program()
+        local = simulate_program(prog, wiring=Loopback(), shots=2, seed=1234)
+        first = DeviceServer(HW, wiring=Loopback(), seed=1234).start()
+        port = first.port
+        with recording_client(first) as client:
+            client.run_program(prog, 2)
+            first.stop()
+            with DeviceServer(HW, wiring=Loopback(), port=port, seed=1234):
+                client.transport.sent.clear()
+                remote = client.run_program(prog, 2)
+            assert envelope_writes(client.transport.sent) == [0, 1]
+        for element in local.acc:
+            assert np.array_equal(remote.acc[element], local.acc[element])
+
+    def test_addressed_element_without_words_is_zeroed(self, server):
+        # a program whose command reads element 0 but stores no words there
+        # must not play what an earlier program left in that memory
+        bare = read_window_image(0)
+        empty = image_program(ProgramImage(bare.commands, {}, bare.repeat_cycles))
+        n_up = HW.n_processing_elements_up
+        local = Simulator(HW, wiring=Loopback()).run(empty.image, seed=1234)
+        with make_client(server) as client:
+            client.run_program(image_program(read_window_image(64)), 1)
+            remote = client.run_program(empty, 1)
+        assert np.array_equal(remote.acc[n_up], local.acc[n_up])
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,43 @@ class TestCordic:
         with pytest.raises(SimulationError):
             cordic_cos_sin([-1])
 
+    # Quadrant edges, and the words either side of them.
+    EDGES = [q * TURNS // 4 + d for q in range(4) for d in (-1, 0, 1) if 0 <= q * TURNS // 4 + d]
+    EDGES.append(TURNS - 1)
+
+    def test_quadrant_edges_match_int64_datapath(self):
+        c, s = cordic_cos_sin(self.EDGES)
+        c0, s0 = int64_cordic(self.EDGES)
+        assert np.array_equal(c, c0) and np.array_equal(s, s0)
+
+    @given(st.lists(st.integers(0, TURNS - 1), min_size=1, max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_int64_datapath(self, words):
+        c, s = cordic_cos_sin(words)
+        c0, s0 = int64_cordic(words)
+        assert np.array_equal(c, c0) and np.array_equal(s, s0)
+        assert c.dtype == s.dtype == np.int64
+
+
+def int64_cordic(turn_words):
+    """The earlier int64 CORDIC datapath, with three np.where per iteration."""
+    atan = np.array(dspsim._ATAN_TABLE, dtype=np.int64)
+    words = np.asarray(turn_words, dtype=np.int64)
+    quadrant = words >> 22
+    z = (words & ((1 << 22) - 1)) << 6
+    x = np.full(words.shape, dspsim._X_INIT, dtype=np.int64)
+    y = np.zeros(words.shape, dtype=np.int64)
+    for i in range(dspsim.CORDIC_ITERATIONS):
+        positive = z >= 0
+        xs = x >> i
+        ys = y >> i
+        x = np.where(positive, x - ys, x + ys)
+        y = np.where(positive, y + xs, y - xs)
+        z = np.where(positive, z - atan[i], z + atan[i])
+    c = np.clip((x + 512) >> 10, -FULL_SCALE, FULL_SCALE)
+    s = np.clip((y + 512) >> 10, -FULL_SCALE, FULL_SCALE)
+    return np.choose(quadrant, [c, -s, -c, s]), np.choose(quadrant, [s, c, -s, -c])
+
 
 class TestDivFullScale:
     def test_round_half_away(self):
@@ -272,6 +309,17 @@ class TestSequencerChecks:
         image = ProgramImage(commands=[up_cmd(dest=3, length=0)], envelopes={}, repeat_cycles=8)
         with pytest.raises(SimulationError, match="destination"):
             Simulator(hw).run(image)
+
+    @pytest.mark.parametrize("bad", [-1, 1 << 32, 1 << 63, 1 << 64])
+    def test_envelope_word_outside_32_bits(self, bad):
+        with pytest.raises(SimulationError, match=f"element 3: envelope word {bad:#x} does not fit"):
+            ProgramImage(commands=[], envelopes={3: [0, bad]}, repeat_cycles=8)
+
+    def test_envelope_words_held_as_int_tuples(self):
+        words = np.array([0, 0xFFFFFFFF, 7], dtype=">u4")
+        image = ProgramImage(commands=[], envelopes={np.int64(2): words}, repeat_cycles=8)
+        assert image.envelopes == {2: (0, 0xFFFFFFFF, 7)}
+        assert all(type(w) is int for w in image.envelopes[2])
 
 
 class TestDownPath:
