@@ -16,17 +16,24 @@ Envelope allocation has two strategies.  The dynamic allocator ("optm")
 walks pulses in time order, shares identical stored envelopes, spills to
 another free element when a buffer fills, and validates element timing
 conflicts.  The static allocator ("runc") lays out every gate in the
-gate set up front (sorted by name) so repeated compilations skip
-allocation and validation work; parameter overrides that would alter a
-stored envelope are rejected there.  Both produce bit-identical output
-waveforms for any circuit they both accept.
+gate set up front (sorted by name), so every compilation against one
+gate set places each pulse at the same address and skips the timing
+checks; it still builds that layout on each call.  Parameter overrides
+that would alter a stored envelope are rejected there.  Both produce
+bit-identical output waveforms for any circuit they both accept.
+
+Packed envelope words are cached across compilations (a small LRU keyed
+by shape, sample count, amplitude and sample rate), and within one
+``lower_to_nv`` call each distinct pulse shape is resolved once.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import math
+import operator
 import zlib
 from dataclasses import dataclass, replace
 
@@ -199,18 +206,23 @@ def schedule(circuit: Circuit, gates: GatePulseSpec, hw: HardwareConfig) -> Sche
     frontier = {}
     items = []
     total = 0
+    durations = {}  # (gate, twidth override or None) -> cycles
     for op in circuit.ops:
         if isinstance(op, VirtualZ):
             items.append(op)
             continue
         name = resolve_gate_name(op, gates)
-        # Overridden width stretches the footprint too.
-        duration_s = gates.duration(name)
+        width = None
         if op.modify and "twidth" in op.modify:
-            width = op.modify["twidth"]
-            base = max(p.t0 for p in gates.pulses(name))
-            duration_s = base + float(width)
-        dur = max(1, math.ceil(_snap(duration_s * hw.dsp_clock)))
+            width = float(op.modify["twidth"])
+        dur = durations.get((name, width))
+        if dur is None:
+            # Overridden width stretches the footprint too.
+            if width is None:
+                duration_s = gates.duration(name)
+            else:
+                duration_s = max(p.t0 for p in gates.pulses(name)) + width
+            dur = durations[name, width] = max(1, math.ceil(_snap(duration_s * hw.dsp_clock)))
         ready = max((frontier.get(q, 0) for q in op.qubits), default=0)
         if op.start_time is None:
             start = ready
@@ -344,23 +356,33 @@ class EnvelopeRegion:
     length: int
 
 
-class _EnvelopeCache:
-    """Quantized amp-scaled envelope words, computed once per product."""
+@functools.lru_cache(maxsize=64)
+def _packed_words(shape, n_samples, amp, sample_rate):
+    """Quantized amp-scaled words of the envelope ``shape`` (an
+    ``EnvelopeSpec.dedup_key()``) over ``n_samples`` DAC samples."""
+    kind, params, samples = shape
+    spec = EnvelopeSpec(kind=kind, params=dict(params), samples=samples)
+    envelope = generate(spec, n_samples / sample_rate, 1.0 / sample_rate)
+    return pack(Envelope(envelope.samples * amp, envelope.dt)).words
 
-    def __init__(self, sample_rate):
-        self.sample_rate = sample_rate
-        self._cache = {}
 
-    def words(self, env_spec: EnvelopeSpec, twidth: float, amp: float):
-        n = _ceil_samples(twidth, self.sample_rate)
-        key = (env_spec.dedup_key(), n, amp)
-        got = self._cache.get(key)
-        if got is None:
-            envelope = generate(env_spec, n / self.sample_rate, 1.0 / self.sample_rate)
-            scaled = Envelope(envelope.samples * amp, envelope.dt)
-            got = pack(scaled).words
-            self._cache[key] = got
-        return got
+def _envelope_words(env: EnvelopeSpec, twidth: float, amp: float, sample_rate: float):
+    n = _ceil_samples(twidth, sample_rate)
+    return _packed_words(env.dedup_key(), n, amp, sample_rate)
+
+
+class _PulseLabel:
+    """``pulse at <t> ns on <dest>``, formatted only when a message or a
+    new layout region needs it."""
+
+    __slots__ = ("tp", "suffix")
+
+    def __init__(self, tp, suffix=""):
+        self.tp = tp
+        self.suffix = suffix
+
+    def __str__(self):
+        return f"pulse at {self.tp.t * 1e9:.3f} ns on {self.tp.dest!r}{self.suffix}"
 
 
 class _DynamicAllocator:
@@ -401,31 +423,36 @@ class _DynamicAllocator:
         bisect.insort(self.busy.setdefault(element, []), (n0, n1))
 
     def place_up(self, element, words, n0, n1, label, source):
-        hw = self.hw
-        candidates = [element] + [
-            e for e in range(hw.n_processing_elements_up) if e != element
-        ]
         if not self._time_free(element, n0, n1):
             raise CompileError(
                 f"{label}: element {element} is busy during samples [{n0}, {n1})"
             )
-        for cand in candidates:
-            if cand != element and not self._time_free(cand, n0, n1):
-                continue
-            if self.dedup and (cand, words) in self.regions:
-                start = self.regions[(cand, words)]
-                self._reserve_time(cand, n0, n1, label)
-                return cand, start
-            if self._has_room(cand, len(words)):
-                mem = self.memory.setdefault(cand, [])
-                start = len(mem)
-                mem.extend(words)
-                if self.dedup:
-                    self.regions[(cand, words)] = start
-                self.layout.setdefault(cand, []).append((start, len(words), label))
-                self._reserve_time(cand, n0, n1, label)
-                return cand, start
+        start = self._store(element, words, n0, n1, label)
+        if start is not None:
+            return element, start
+        for cand in range(self.hw.n_processing_elements_up):
+            if cand != element and self._time_free(cand, n0, n1):
+                start = self._store(cand, words, n0, n1, label)
+                if start is not None:
+                    return cand, start
         raise CompileError(f"{label}: envelope memory exhausted on every up element")
+
+    def _store(self, element, words, n0, n1, label):
+        """Start of ``words`` on ``element``, which is free over [n0, n1):
+        a shared region, or a new one; None when the memory lacks room."""
+        if self.dedup and (element, words) in self.regions:
+            start = self.regions[(element, words)]
+        elif self._has_room(element, len(words)):
+            mem = self.memory.setdefault(element, [])
+            start = len(mem)
+            mem.extend(words)
+            if self.dedup:
+                self.regions[(element, words)] = start
+            self.layout.setdefault(element, []).append((start, len(words), str(label)))
+        else:
+            return None
+        bisect.insort(self.busy.setdefault(element, []), (n0, n1))
+        return start
 
     def place_down(self, element, n0, n1, label):
         self._reserve_time(element, n0, n1, label)
@@ -434,14 +461,15 @@ class _DynamicAllocator:
 class _StaticAllocator:
     """Whole-gate-set layout fixed before any circuit is seen.
 
-    Every gate in the set is laid out once, sorted by name, so repeat
-    compilations reuse the same addresses and skip conflict validation.
+    Every gate in the set is laid out, sorted by name, when the allocator
+    is built (once per ``lower_to_nv`` call), so every compilation against
+    one gate set uses the same addresses and skips conflict validation.
     Overrides that would change a stored envelope are rejected.
     """
 
     name = "runc"
 
-    def __init__(self, hw, gates, chmap_lookup, env_cache):
+    def __init__(self, hw, gates, chmap_lookup):
         self.hw = hw
         self.memory = {}  # element -> list of stored words
         self.regions = {}  # (element, words) -> start
@@ -452,7 +480,9 @@ class _StaticAllocator:
                 ch = chmap_lookup(pulse.dest, f"gate {name!r}")
                 if ch.direction != "up":
                     continue
-                words = env_cache.words(pulse.env, pulse.twidth, pulse.amp)
+                words = _envelope_words(
+                    pulse.env, pulse.twidth, pulse.amp, hw.dac_sample_rate
+                )
                 key = (ch.element, words)
                 if key in self.regions:
                     start = self.regions[key]
@@ -625,6 +655,11 @@ class CompiledProgram:
         )
 
 
+# element, trig_t, then condition, freq_word, destination, start, length,
+# phase_word: the fields of a CommandFields, most significant first
+_WORD_ORDER = operator.itemgetter(5, 0, 7, 3, 6, 1, 2, 4)
+
+
 def lower_to_nv(
     tp_list,
     hw: HardwareConfig,
@@ -633,8 +668,10 @@ def lower_to_nv(
     dedup: bool = True,
     repeat_time: float = None,
 ):
-    """Quantize TimePulses into commands and envelope buffers."""
-    cache = _EnvelopeCache(hw.dac_sample_rate)
+    """Quantize TimePulses into commands and envelope buffers.
+
+    Commands come out sorted by element, then by their 128-bit word.
+    """
 
     def chmap_lookup(dest, what):
         try:
@@ -647,65 +684,74 @@ def lower_to_nv(
     elif allocator == "runc":
         if gates is None:
             raise CompileError("the static allocator needs the gate set")
-        alloc = _StaticAllocator(hw, gates, chmap_lookup, cache)
+        alloc = _StaticAllocator(hw, gates, chmap_lookup)
     else:
         raise CompileError(f"unknown allocator {allocator!r}")
 
     spc = hw.samples_per_cycle
-    entries = []  # (element, trig_t, CommandFields)
+    rate = hw.dac_sample_rate
+    # (dest, fcarrier, twidth, amp, id(env)) -> (channel, length,
+    # freq_word, envelope words or None); every pulse stays referenced
+    # by tp_list, so no id is reused during the call.
+    shapes = {}
+    commands = []
     ordered = sorted(
         range(len(tp_list)),
         key=lambda i: (tp_list[i].t, tp_list[i].dest, i),
     )
     for i in ordered:
         tp = tp_list[i]
-        label = f"pulse at {tp.t * 1e9:.3f} ns on {tp.dest!r}"
-        ch = chmap_lookup(tp.dest, label)
-        trig_t = _to_cycles(tp.t, hw.dsp_clock, f"{label}: start time")
+        label = _PulseLabel(tp)
+        key = (tp.dest, tp.fcarrier, tp.twidth, tp.amp, id(tp.env))
+        shape = shapes.get(key)
+        ch = shape[0] if shape else chmap_lookup(tp.dest, label)
+        trig_t = _to_cycles(tp.t, hw.dsp_clock, _PulseLabel(tp, ": start time"))
         if trig_t >= 1 << cmdcodec.TRIG_T_BITS:
             raise CompileError(f"{label}: trigger cycle {trig_t} exceeds 24 bits")
-        length = _ceil_samples(tp.twidth, hw.dac_sample_rate)
-        if length >= 1 << cmdcodec.LENGTH_BITS:
-            raise CompileError(f"{label}: {length} samples exceed the 12-bit length field")
-        freq_word = cmdcodec.freq_to_word(tp.fcarrier, hw.dac_sample_rate)
-        phase_word = cmdcodec.phase_to_word(tp.pcarrier)
+        if shape is None:
+            length = _ceil_samples(tp.twidth, rate)
+            if length >= 1 << cmdcodec.LENGTH_BITS:
+                raise CompileError(f"{label}: {length} samples exceed the 12-bit length field")
+            freq_word = cmdcodec.freq_to_word(tp.fcarrier, rate)
+            phase_word = cmdcodec.phase_to_word(tp.pcarrier)
+            words = None
+            if ch.direction == "up":
+                words = _envelope_words(tp.env, tp.twidth, tp.amp, rate)
+            shapes[key] = (ch, length, freq_word, words)
+        else:
+            _, length, freq_word, words = shape
+            phase_word = cmdcodec.phase_to_word(tp.pcarrier)
         n0 = trig_t * spc
         n1 = n0 + length
 
         if ch.direction == "up":
-            words = cache.words(tp.env, tp.twidth, tp.amp)
             element, start = alloc.place_up(ch.element, words, n0, n1, label, tp.source)
         else:
             alloc.place_down(ch.element, n0, n1, label)
             element, start = ch.element, 0
-        entries.append(
-            (
-                element,
-                trig_t,
-                CommandFields(
-                    trig_t=trig_t,
-                    start=start,
-                    length=length,
-                    freq_word=freq_word,
-                    phase_word=phase_word,
-                    element=element,
-                    destination=ch.destination,
-                    condition=0,
-                ),
+        commands.append(
+            CommandFields(
+                trig_t=trig_t,
+                start=start,
+                length=length,
+                freq_word=freq_word,
+                phase_word=phase_word,
+                element=element,
+                destination=ch.destination,
+                condition=0,
             )
         )
 
-    entries.sort(key=lambda e: (e[0], e[1], cmdcodec.encode(e[2])))
-    commands = tuple(cmd for _, _, cmd in entries)
+    # Within an element, fields in the order of their significance in
+    # the 128-bit word, so commands sort as their words do.
+    commands.sort(key=_WORD_ORDER)
+    commands = tuple(commands)
     if len(commands) > hw.command_buffer_depth:
         raise CompileError(
             f"{len(commands)} commands exceed buffer depth {hw.command_buffer_depth}"
         )
 
-    min_cycles = 1
-    for _, trig_t, cmd in entries:
-        end_cycle = trig_t + -(-cmd.length // spc)
-        min_cycles = max(min_cycles, end_cycle)
+    min_cycles = max([1, *(c.trig_t + -(-c.length // spc) for c in commands)])
     if repeat_time is None:
         repeat_cycles = min_cycles
     else:

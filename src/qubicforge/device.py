@@ -25,11 +25,13 @@ Regions:
 * ENVELOPE_CRC: read-only, one 32-bit word per up element: the CRC-32
   of that element's whole envelope memory as big-endian words.
 
-``upload_program`` reads ENVELOPE_CRC and writes a compiled program's
-envelopes only where the device does not already hold them.
+``upload_program`` reads ENVELOPE_CRC and writes a program's envelopes
+only where the device does not already hold them.
 
 Ops: WRITE, READ, START (begin a run in the background), STOP, STATUS.
 STATUS returns three u32s: running flag, shots completed, fault count.
+A STATUS ``count`` is a wait budget in ms: the server answers when the
+run ends or the budget runs out (0 answers at once).
 """
 
 from __future__ import annotations
@@ -92,7 +94,8 @@ REG_ACQ_UNIT = 3
 REG_ACQ_LEN = 4
 REG_REPEAT_CYCLES = 5
 REG_N_COMMANDS = 6
-N_CONTROL_REGS = 7
+REG_ENVELOPE_DEPTH = 7  # read-only: envelope words per up element
+N_CONTROL_REGS = 8
 
 _ACQ_TAPS = ("adc", "dac", "dlo")
 
@@ -270,7 +273,9 @@ class DeviceServer:
     run thread synthesizes its signals and then takes the simulator's
     shot loop one shot at a time, so STATUS can observe progress and
     STOP can interrupt.  Every START numbers its shots from 0, so one
-    START of n shots equals a local run of n shots.
+    START of n shots equals a local run of n shots.  A STATUS with a
+    wait budget holds the serving thread until the run ends or the
+    budget runs out; no other datagram is answered meanwhile.
     """
 
     def __init__(self, hw, wiring=None, host="127.0.0.1", port=0, seed=None, cache_size=1024):
@@ -282,6 +287,7 @@ class DeviceServer:
         self.sock.settimeout(0.05)
         self.address = self.sock.getsockname()
         self._lock = threading.RLock()
+        self._run_ended = threading.Condition(self._lock)
         self._cache = OrderedDict()
         self._cache_size = cache_size
         self._stop = threading.Event()
@@ -302,6 +308,7 @@ class DeviceServer:
             self._envelope_crc = {}  # element -> CRC-32, dropped on every write
             self.control = [0] * N_CONTROL_REGS
             self.control[REG_REPEAT_CYCLES] = 1
+            self.control[REG_ENVELOPE_DEPTH] = self.hw.envelope_buffer_depth
             self.acc = {
                 e: []
                 for e in range(
@@ -440,6 +447,8 @@ class DeviceServer:
         lo = request.offset
         if lo + count > len(store):
             return self._status_reply(request, STATUS_BAD_RANGE)
+        if request.region == REGION_CONTROL and lo + count > REG_ENVELOPE_DEPTH:
+            return self._status_reply(request, STATUS_BAD_OP)
         if request.region == REGION_COMMAND:
             store[lo : lo + count] = _unpack_commands(request.payload)
         elif request.region == REGION_CONTROL:
@@ -538,12 +547,15 @@ class DeviceServer:
         finally:
             with self._lock:
                 self.running = False
+                self._run_ended.notify_all()
 
     def _op_stop(self, request):
         self._run_stop.set()
         return self._status_reply(request, STATUS_OK)
 
     def _op_status(self, request):
+        # Waiting releases the lock, so the run thread can go on.
+        self._run_ended.wait_for(lambda: not self.running, request.count / 1000)
         payload = struct.pack(
             ">III", 1 if self.running else 0, self.shots_completed, self.fault_count
         )
@@ -680,35 +692,36 @@ class DeviceClient:
 
     # -- program workflow ---------------------------------------------------
 
-    def upload_program(self, program):
+    def upload_program(self, program, n_up=None):
         """Load a program's buffers and control registers.
 
-        A compiled program's envelopes are resident: one READ of
-        ENVELOPE_CRC, then a WRITE of the words, zero-padded to depth, of
-        each up element (those its envelopes name or its commands
-        address) whose device CRC differs.  Afterwards the device's
-        envelope memory is what a local run of the program reads.  A bare
-        image carries no envelope depth, so its envelopes are written as
-        given.
+        Envelopes are resident: one READ of ENVELOPE_CRC, then a WRITE of
+        the words, zero-padded to depth, of each up element (those the
+        envelopes name or the commands address) whose device CRC
+        differs.  Afterwards the device's envelope memory is what a local
+        run of the program reads.  A compiled program brings its own
+        hardware; a bare image needs ``n_up``, and its depth is read from
+        the device's ENVELOPE_DEPTH register.
         """
-        image = program.image if hasattr(program, "image") else program
-        self.write_region(REGION_COMMAND, 0, 0, image.commands)
         if hasattr(program, "hw"):
-            self._load_envelopes(program)
+            image, fields = program.image, program.commands
+            n_up = program.hw.n_processing_elements_up
+            depth = program.hw.envelope_buffer_depth
+        elif n_up is None:
+            raise TransportError("n_up is required when loading a bare image")
         else:
-            for element in sorted(image.envelopes):
-                self.write_region(REGION_ENVELOPE, element, 0, image.envelopes[element])
+            # non-strict: START, not the upload, rejects reserved bits
+            image = program
+            fields = (cmdcodec.decode(c, strict=False) for c in program.commands)
+            depth = self.read_control(REG_ENVELOPE_DEPTH)
+        self.write_region(REGION_COMMAND, 0, 0, image.commands)
+        self._load_envelopes(image.envelopes, fields, n_up, depth)
         self.write_region(
             REGION_CONTROL, 0, REG_REPEAT_CYCLES, [image.repeat_cycles, len(image.commands)]
         )
 
-    def _load_envelopes(self, program):
-        envelopes = program.image.envelopes
-        n_up = program.hw.n_processing_elements_up
-        depth = program.hw.envelope_buffer_depth
-        elements = sorted(
-            set(envelopes) | {cmd.element for cmd in program.commands if cmd.element < n_up}
-        )
+    def _load_envelopes(self, envelopes, fields, n_up, depth):
+        elements = sorted(set(envelopes) | {cmd.element for cmd in fields if cmd.element < n_up})
         if not elements:
             return
         crcs = self.read_region(REGION_ENVELOPE_CRC, 0, 0, elements[-1] + 1)
@@ -729,17 +742,24 @@ class DeviceClient:
     def stop(self):
         self._request(OP_STOP)
 
-    def status(self):
-        reply = self._request(OP_STATUS)
+    def status(self, wait_ms=0):
+        """(running, shots completed, fault count).  With ``wait_ms`` the
+        device answers when the run ends or after that many ms."""
+        reply = self._request(OP_STATUS, count=wait_ms)
         running, done, faults = struct.unpack(">III", reply.payload)
         return bool(running), done, faults
 
-    def wait(self, poll=0.002, max_polls=100_000):
+    def wait(self, max_polls=100_000):
+        """Long-poll STATUS until the run ends; (shots, faults).
+
+        Each STATUS waits on the device for up to half the client
+        timeout, so a reply is due well before the client retransmits.
+        """
+        budget = max(1, round(self.timeout * 500))
         for _ in range(max_polls):
-            running, done, faults = self.status()
+            running, done, faults = self.status(budget)
             if not running:
                 return done, faults
-            time.sleep(poll)
         raise TransportError("device run did not finish")
 
     def read_acc(self, element, n_entries):
@@ -761,7 +781,7 @@ class DeviceClient:
             if not hasattr(program, "hw"):
                 raise TransportError("n_up is required when running a bare image")
             n_up = program.hw.n_processing_elements_up
-        self.upload_program(program)
+        self.upload_program(program, n_up)
         # ACC_CLEAR, ACQ_TAP, ACQ_UNIT, ACQ_LEN
         capture = [0, 0, 0] if acq is None else [_ACQ_TAPS.index(acq.tap), acq.unit, acq.length]
         self.write_region(REGION_CONTROL, 0, REG_ACC_CLEAR, [1, *capture])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubicforge import CompileError, ConfigError
+from qubicforge import CompileError, ConfigError, QubicForgeError, cmdcodec, compiler
 from qubicforge.chipcfg import (
     load_chip_config,
     load_gate_spec,
@@ -18,19 +18,27 @@ from qubicforge.chipcfg import (
     standard_channel_map,
 )
 from qubicforge.compiler import (
+    _ceil_samples,
     _DynamicAllocator,
+    _snap,
+    _StaticAllocator,
+    _to_cycles,
     Circuit,
     CompiledProgram,
     GateOp,
+    ScheduledCircuit,
+    ScheduledGate,
     VirtualZ,
     compile_circuit,
     load_circuit,
     lower_to_tp,
     program_waveform,
+    resolve_gate_name,
     schedule,
     simulate_program,
 )
-from qubicforge.dspsim import FULL_SCALE, Loopback
+from qubicforge.dspsim import FULL_SCALE, Loopback, ProgramImage
+from qubicforge.envgen import Envelope, generate, pack
 
 CHIP = load_chip_config(
     json.dumps(
@@ -612,3 +620,335 @@ SAMPLE_BLOBS = [
         ([gate("X90", "Q6")], "runc"),
     )
 ]
+
+
+# ---------------------------------------------------------------------------
+# Oracle: a test-only copy of the compiler before pulse shapes were
+# resolved once per call (``schedule`` and ``lower_to_nv`` with their
+# envelope cache and allocators; ``lower_to_tp`` did not change).
+
+
+def reference_schedule(circuit, gates, hw):
+    frontier = {}
+    items = []
+    total = 0
+    for op in circuit.ops:
+        if isinstance(op, VirtualZ):
+            items.append(op)
+            continue
+        name = resolve_gate_name(op, gates)
+        duration_s = gates.duration(name)
+        if op.modify and "twidth" in op.modify:
+            width = op.modify["twidth"]
+            base = max(p.t0 for p in gates.pulses(name))
+            duration_s = base + float(width)
+        dur = max(1, math.ceil(_snap(duration_s * hw.dsp_clock)))
+        ready = max((frontier.get(q, 0) for q in op.qubits), default=0)
+        if op.start_time is None:
+            start = ready
+        else:
+            start = _to_cycles(op.start_time, hw.dsp_clock, "start_time")
+            if start < ready:
+                raise CompileError(
+                    f"gate {name!r} pinned to cycle {start} overlaps earlier work "
+                    f"(qubit free at cycle {ready})"
+                )
+        for q in op.qubits:
+            frontier[q] = start + dur
+        total = max(total, start + dur)
+        items.append(
+            ScheduledGate(op=op, resolved_name=name, start_cycle=start, duration_cycles=dur)
+        )
+    return ScheduledCircuit(items=tuple(items), total_cycles=total)
+
+
+class ReferenceEnvelopeCache:
+    def __init__(self, sample_rate):
+        self.sample_rate = sample_rate
+        self._cache = {}
+
+    def words(self, env_spec, twidth, amp):
+        n = _ceil_samples(twidth, self.sample_rate)
+        key = (env_spec.dedup_key(), n, amp)
+        got = self._cache.get(key)
+        if got is None:
+            envelope = generate(env_spec, n / self.sample_rate, 1.0 / self.sample_rate)
+            got = pack(Envelope(envelope.samples * amp, envelope.dt)).words
+            self._cache[key] = got
+        return got
+
+
+class ReferenceDynamicAllocator(LinearScanAllocator):
+    def place_up(self, element, words, n0, n1, label, source):
+        candidates = [element] + [
+            e for e in range(self.hw.n_processing_elements_up) if e != element
+        ]
+        if not self._time_free(element, n0, n1):
+            raise CompileError(
+                f"{label}: element {element} is busy during samples [{n0}, {n1})"
+            )
+        for cand in candidates:
+            if cand != element and not self._time_free(cand, n0, n1):
+                continue
+            if self.dedup and (cand, words) in self.regions:
+                start = self.regions[(cand, words)]
+                self._reserve_time(cand, n0, n1, label)
+                return cand, start
+            if self._has_room(cand, len(words)):
+                mem = self.memory.setdefault(cand, [])
+                start = len(mem)
+                mem.extend(words)
+                if self.dedup:
+                    self.regions[(cand, words)] = start
+                self.layout.setdefault(cand, []).append((start, len(words), label))
+                self._reserve_time(cand, n0, n1, label)
+                return cand, start
+        raise CompileError(f"{label}: envelope memory exhausted on every up element")
+
+
+class ReferenceStaticAllocator:
+    def __init__(self, hw, gates, chmap_lookup, env_cache):
+        self.memory = {}
+        self.regions = {}
+        self.by_source = {}
+        self.layout = {}
+        for name in sorted(gates.gates):
+            for idx, pulse in enumerate(gates.pulses(name)):
+                ch = chmap_lookup(pulse.dest, f"gate {name!r}")
+                if ch.direction != "up":
+                    continue
+                words = env_cache.words(pulse.env, pulse.twidth, pulse.amp)
+                key = (ch.element, words)
+                if key in self.regions:
+                    start = self.regions[key]
+                else:
+                    mem = self.memory.setdefault(ch.element, [])
+                    start = len(mem)
+                    if start + len(words) > hw.envelope_buffer_depth:
+                        raise CompileError(
+                            f"gate {name!r}: static envelope layout exceeds "
+                            f"buffer depth on element {ch.element}"
+                        )
+                    mem.extend(words)
+                    self.regions[key] = start
+                    self.layout.setdefault(ch.element, []).append(
+                        (start, len(words), f"{name}[{idx}]")
+                    )
+                self.by_source[(name, idx)] = (ch.element, start, words)
+
+    place_up = _StaticAllocator.place_up
+    place_down = _StaticAllocator.place_down
+
+
+def reference_lower_to_nv(tp_list, hw, allocator="optm", gates=None, dedup=True):
+    cache = ReferenceEnvelopeCache(hw.dac_sample_rate)
+
+    def chmap_lookup(dest, what):
+        try:
+            return hw.channel(dest)
+        except ConfigError as exc:
+            raise CompileError(f"{what}: {exc}") from None
+
+    if allocator == "optm":
+        alloc = ReferenceDynamicAllocator(hw, dedup=dedup)
+    else:
+        alloc = ReferenceStaticAllocator(hw, gates, chmap_lookup, cache)
+    spc = hw.samples_per_cycle
+    entries = []
+    ordered = sorted(range(len(tp_list)), key=lambda i: (tp_list[i].t, tp_list[i].dest, i))
+    for i in ordered:
+        tp = tp_list[i]
+        label = f"pulse at {tp.t * 1e9:.3f} ns on {tp.dest!r}"
+        ch = chmap_lookup(tp.dest, label)
+        trig_t = _to_cycles(tp.t, hw.dsp_clock, f"{label}: start time")
+        if trig_t >= 1 << cmdcodec.TRIG_T_BITS:
+            raise CompileError(f"{label}: trigger cycle {trig_t} exceeds 24 bits")
+        length = _ceil_samples(tp.twidth, hw.dac_sample_rate)
+        if length >= 1 << cmdcodec.LENGTH_BITS:
+            raise CompileError(f"{label}: {length} samples exceed the 12-bit length field")
+        freq_word = cmdcodec.freq_to_word(tp.fcarrier, hw.dac_sample_rate)
+        phase_word = cmdcodec.phase_to_word(tp.pcarrier)
+        n0 = trig_t * spc
+        n1 = n0 + length
+        if ch.direction == "up":
+            words = cache.words(tp.env, tp.twidth, tp.amp)
+            element, start = alloc.place_up(ch.element, words, n0, n1, label, tp.source)
+        else:
+            alloc.place_down(ch.element, n0, n1, label)
+            element, start = ch.element, 0
+        entries.append(
+            (
+                element,
+                trig_t,
+                cmdcodec.CommandFields(
+                    trig_t=trig_t,
+                    start=start,
+                    length=length,
+                    freq_word=freq_word,
+                    phase_word=phase_word,
+                    element=element,
+                    destination=ch.destination,
+                    condition=0,
+                ),
+            )
+        )
+    entries.sort(key=lambda e: (e[0], e[1], cmdcodec.encode(e[2])))
+    commands = tuple(cmd for _, _, cmd in entries)
+    if len(commands) > hw.command_buffer_depth:
+        raise CompileError(
+            f"{len(commands)} commands exceed buffer depth {hw.command_buffer_depth}"
+        )
+    min_cycles = 1
+    for _, trig_t, cmd in entries:
+        min_cycles = max(min_cycles, trig_t + -(-cmd.length // spc))
+    envelopes = {e: tuple(mem) for e, mem in sorted(alloc.memory.items()) if mem}
+    layout = {e: tuple(v) for e, v in alloc.layout.items()}
+    return commands, envelopes, min_cycles, layout
+
+
+def reference_compile(circuit, hw, allocator, dedup):
+    tp = lower_to_tp(reference_schedule(circuit, GATES, hw), GATES, CHIP, hw)
+    commands, envelopes, repeat_cycles, layout = reference_lower_to_nv(
+        tp, hw, allocator=allocator, gates=GATES, dedup=dedup
+    )
+    image = ProgramImage(
+        commands=tuple(cmdcodec.encode(c) for c in commands),
+        envelopes=envelopes,
+        repeat_cycles=repeat_cycles,
+    )
+    return CompiledProgram(
+        image=image, hw=hw, commands=commands, tp=tp, allocator=allocator, layout=layout
+    )
+
+
+def _hw_variant(n_up, depth, channel_map):
+    return load_hardware_config(
+        json.dumps(
+            {
+                "n_processing_elements_up": n_up,
+                "envelope_buffer_depth": depth,
+                "channel_map": {
+                    name: {
+                        "element": ch.element,
+                        "destination": ch.destination,
+                        "direction": ch.direction,
+                    }
+                    for name, ch in channel_map.items()
+                },
+            }
+        )
+    )
+
+
+SMALL_MAP = standard_channel_map(["Q6", "Q7"], n_up=4)
+SHARED_MAP = dict(HW.channel_map, **{"Q7.qdrv": HW.channel_map["Q6.qdrv"]})
+ORACLE_HW = {
+    "standard": HW,
+    # four up elements of 128 words: spills, exhaustion, static overflow
+    "small": _hw_variant(4, 128, SMALL_MAP),
+    # Q6 and Q7 drive one element: parallel drives collide
+    "shared": _hw_variant(16, 1024, SHARED_MAP),
+}
+
+NS = 1e-9
+ORACLE_MODIFY = st.fixed_dictionaries(
+    {},
+    optional={
+        "amp": st.sampled_from([0.0, 0.1, 0.45, 0.9, 1.0]),
+        # whole cycles, an odd sample count, and past the 12-bit length
+        "twidth": st.sampled_from([16 * NS, 33 * NS, 96 * NS, 300 * NS, 4200 * NS]),
+        "pcarrier": st.sampled_from([0.0, 0.3, "pi/2", -1.5]),
+        "env_params": st.sampled_from([{"sigma_fraction": 0.2}, {"alpha": 0.3}]),
+    },
+)
+# (gate, qubit), weighted so that most circuits compile; "Z45" is unknown
+ORACLE_GATES = [("X90", "Q6")] * 3 + [("X90", "Q7")] * 3 + [("Y180", "Q6")] * 2 + [
+    ("read", "Q6")
+] * 2 + [("Z45", "Q6")]
+ORACLE_OPS = st.lists(
+    st.one_of(
+        st.builds(
+            VirtualZ,
+            qubit=st.sampled_from(["Q6", "Q7"]),
+            phase=st.sampled_from([0.25, math.pi / 2, -1.0]),
+        ),
+        st.builds(
+            lambda g, start_time, modify: GateOp(g[0], (g[1],), start_time, modify),
+            st.sampled_from(ORACLE_GATES),
+            # as soon as possible, whole cycles (maybe before the qubit
+            # is free) or misaligned
+            st.sampled_from(["asap"] * 12 + ["aligned"] * 3 + ["misaligned"]).flatmap(
+                lambda kind: st.just(None)
+                if kind == "asap"
+                else st.integers(0, 150).map(
+                    lambda k: (4 * k + (kind == "misaligned")) * NS
+                )
+            ),
+            st.one_of(st.none(), ORACLE_MODIFY),
+        ),
+    ),
+    max_size=10,
+)
+
+
+def _outcome(compile_fn):
+    try:
+        p = compile_fn()
+    except QubicForgeError as exc:
+        return type(exc).__name__, str(exc)
+    return (
+        p.image,
+        p.serialize(),
+        sorted(p.layout.items()),
+        p.dump_tp(),
+        p.dump_commands(),
+        p.repeat_cycles,
+    )
+
+
+class TestCompileOracle:
+    @given(
+        ops=ORACLE_OPS,
+        hw_name=st.sampled_from(sorted(ORACLE_HW)),
+        allocator=st.sampled_from(["optm", "runc"]),
+        dedup=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_compiler(self, ops, hw_name, allocator, dedup):
+        hw = ORACLE_HW[hw_name]
+        circuit = Circuit(ops)
+        assert _outcome(
+            lambda: compile_circuit(circuit, CHIP, GATES, hw, allocator=allocator, dedup=dedup)
+        ) == _outcome(lambda: reference_compile(circuit, hw, allocator, dedup))
+
+    @pytest.mark.parametrize(
+        "ops, hw_name, allocator, message",
+        [
+            ([gate("X90", "Q6"), gate("X90", "Q7")], "shared", "optm", "busy during samples"),
+            ([gate("X90", "Q6", start_time=5e-9)], "standard", "optm", "not aligned"),
+            ([gate("X90", "Q6", modify={"twidth": 4200e-9})], "standard", "optm", "12-bit"),
+            ([gate("Z45", "Q6")], "standard", "optm", "unknown gate"),
+            (
+                [gate("X90", "Q6", modify={"amp": k / 20}) for k in range(1, 18)],
+                "small",
+                "optm",
+                "exhausted",
+            ),
+            ([gate("X90", "Q6")], "small", "runc", "static envelope layout exceeds"),
+        ],
+    )
+    def test_error_messages_match(self, ops, hw_name, allocator, message):
+        # each error the property must reach, reached once on purpose
+        hw = ORACLE_HW[hw_name]
+        circuit = Circuit(ops)
+        new = _outcome(lambda: compile_circuit(circuit, CHIP, GATES, hw, allocator=allocator))
+        assert new == _outcome(lambda: reference_compile(circuit, hw, allocator, True))
+        assert new[0] == "CompileError" and message in new[1]
+
+    def test_envelopes_cached_across_compilations(self, monkeypatch):
+        circuit = Circuit([gate("X90", "Q6", modify={"amp": 0.123}), gate("read", "Q6")])
+        first = compile_circuit(circuit, CHIP, GATES, HW)
+        calls = []
+        monkeypatch.setattr(compiler, "generate", lambda *a: calls.append(a))
+        again = compile_circuit(circuit, CHIP, GATES, HW)
+        assert calls == [] and again.image == first.image

@@ -34,6 +34,7 @@ from qubicforge.device import (
     OP_STATUS,
     OP_WRITE,
     REG_ACC_CLEAR,
+    REG_ENVELOPE_DEPTH,
     REG_N_COMMANDS,
     REG_REPEAT_CYCLES,
     REG_SHOTS,
@@ -307,6 +308,15 @@ class TestMemoryAccess:
             client.write_control(REG_REPEAT_CYCLES, 9)
             assert client.read_control(REG_SHOTS) == 250
             assert client.read_control(REG_REPEAT_CYCLES) == 9
+
+    def test_envelope_depth_register_is_read_only(self, server):
+        with make_client(server) as client:
+            assert client.read_control(REG_ENVELOPE_DEPTH) == HW.envelope_buffer_depth
+            with pytest.raises(TransportError, match="bad op"):
+                client.write_control(REG_ENVELOPE_DEPTH, 16)
+            with pytest.raises(TransportError, match="bad op"):
+                client.write_region(REGION_CONTROL, 0, REG_N_COMMANDS, [0, 16])
+            assert client.read_control(REG_ENVELOPE_DEPTH) == HW.envelope_buffer_depth
 
     def test_bad_region_rejected(self, server):
         with make_client(server) as client:
@@ -611,8 +621,8 @@ class RecordingTransport:
             self.inner.close()
 
 
-def recording_client(srv):
-    return DeviceClient(RecordingTransport(UdpTransport(("127.0.0.1", srv.port))))
+def recording_client(srv, **kwargs):
+    return DeviceClient(RecordingTransport(UdpTransport(("127.0.0.1", srv.port))), **kwargs)
 
 
 def envelope_writes(sent):
@@ -658,21 +668,43 @@ class TestResidentEnvelopes:
         # words [32, 64) of the longer program are not left behind
         assert np.array_equal(remote.acc[n_up], local.acc[n_up])
 
+    def test_bare_images_remote_equal_local_after_a_longer_one(self, server):
+        # a bare image carries no depth: the client reads the device's
+        long, short = read_window_image(64), read_window_image(32)
+        n_up = HW.n_processing_elements_up
+        local = Simulator(HW, wiring=Loopback()).run(short, seed=1234)
+        with recording_client(server) as client:
+            client.run_program(long, 1, n_up=n_up)
+            remote = client.run_program(short, 1, n_up=n_up)
+            # words [32, 64) of the longer image are not left behind
+            assert np.array_equal(remote.acc[n_up], local.acc[n_up])
+            assert envelope_writes(client.transport.sent) == [0, 0]
+            client.transport.sent.clear()
+            again = client.run_program(short, 1, n_up=n_up)
+            assert envelope_writes(client.transport.sent) == []
+        assert np.array_equal(again.acc[n_up], local.acc[n_up])
+
+    def test_bare_image_upload_needs_n_up(self, server):
+        with make_client(server) as client:
+            with pytest.raises(TransportError, match="n_up is required"):
+                client.upload_program(read_window_image(32))
+
     def test_steady_state_sends_no_envelopes(self, server):
         progs = [readout_program(1), readout_program(2)]  # the same envelopes
-        with recording_client(server) as client:
+        # a STATUS budget of 1 s: the run ends within one STATUS
+        with recording_client(server, timeout=2.0) as client:
             client.run_program(progs[0], 2)
             assert envelope_writes(client.transport.sent) == [0, 1]
             client.transport.sent.clear()
             result = client.run_program(progs[1], 2)
-        sent = [req for req in client.transport.sent if req[0] != OP_STATUS]
-        assert sent == [
+        assert client.transport.sent == [
             (OP_WRITE, REGION_COMMAND, 0),
             (OP_READ, REGION_ENVELOPE_CRC, 0),
             (OP_WRITE, REGION_CONTROL, 0),  # REPEAT_CYCLES, N_COMMANDS
             (OP_WRITE, REGION_CONTROL, 0),  # ACC_CLEAR .. ACQ_LEN
             (OP_WRITE, REGION_CONTROL, 0),  # SHOTS
             (OP_START, 0, 0),
+            (OP_STATUS, 0, 0),  # answered when the run ends
             (OP_READ, REGION_ACC, HW.n_processing_elements_up),
         ]
         local = simulate_program(progs[1], wiring=Loopback(), shots=2, seed=1234)
@@ -716,6 +748,94 @@ class TestResidentEnvelopes:
             client.run_program(image_program(read_window_image(64)), 1)
             remote = client.run_program(empty, 1)
         assert np.array_equal(remote.acc[n_up], local.acc[n_up])
+
+
+# ---------------------------------------------------------------------------
+# STATUS long poll
+
+
+@pytest.fixture
+def blocked_run(server, monkeypatch):
+    """A 2-shot run whose synthesis waits for ``release``; yields the
+    client (1 s timeout) and the release event."""
+    release = threading.Event()
+    cordic = dspsim.cordic_cos_sin
+    monkeypatch.setattr(dspsim, "cordic_cos_sin", lambda words: release.wait(10) and cordic(words))
+    with make_client(server, timeout=1.0) as client:
+        client.upload_program(readout_program())
+        client.clear_acc()
+        client.start(2)
+        try:
+            yield client, release
+        finally:
+            release.set()
+            client.wait()
+
+
+def timed(fn, *args):
+    t0 = time.monotonic()
+    result = fn(*args)
+    return result, time.monotonic() - t0
+
+
+class TestLongPoll:
+    def test_run_longer_than_the_budget_answers_running(self, blocked_run):
+        client, release = blocked_run
+        status, seconds = timed(client.status, 150)
+        assert status == (True, 0, 0)
+        assert seconds >= 0.14
+        release.set()
+        assert client.wait() == (2, 0)
+
+    def test_budget_zero_answers_at_once(self, blocked_run):
+        client, _ = blocked_run
+        status, seconds = timed(client.status, 0)
+        assert status == (True, 0, 0)
+        assert seconds < 0.5  # the run is blocked for up to 10 s
+
+    def test_duplicate_status_replayed_without_second_wait(self, server, blocked_run):
+        client, _ = blocked_run
+        blob = encode_packet(Packet(seq=client._seq + 1000, op=OP_STATUS, count=300))
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.settimeout(2.0)
+
+        def ask():
+            sock.sendto(blob, ("127.0.0.1", server.port))
+            return sock.recvfrom(8192)[0]
+
+        try:
+            first, waited = timed(ask)
+            again, replayed = timed(ask)
+        finally:
+            sock.close()
+        assert again == first
+        assert decode_packet(first).payload[:4] == (1).to_bytes(4, "big")  # running
+        assert waited >= 0.29 and replayed < 0.2
+
+    def test_stop_during_a_long_poll_returns_promptly(self, monkeypatch):
+        # every shot takes 20 ms, so the run lasts about 20 s
+        execute = dspsim._ShotState.execute
+        monkeypatch.setattr(
+            dspsim._ShotState, "execute", lambda state: (execute(state), time.sleep(0.02))
+        )
+        srv = DeviceServer(HW, wiring=Loopback(), seed=1).start()
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            with make_client(srv) as client:
+                client.upload_program(readout_program())
+                client.clear_acc()
+                client.start(1000)
+            sock.sendto(
+                encode_packet(Packet(seq=1, op=OP_STATUS, count=60_000)),
+                ("127.0.0.1", srv.port),
+            )
+            time.sleep(0.2)  # the server now holds the poll
+            _, seconds = timed(srv.stop)
+        finally:
+            sock.close()
+            srv.stop()
+        assert seconds < 2.0
+        assert not srv._thread.is_alive() and not srv._run_thread.is_alive()
 
 
 # ---------------------------------------------------------------------------
@@ -800,8 +920,9 @@ class TestFaultTolerance:
         assert server.dropped >= 2
 
     def test_lossy_link_still_exact(self, server):
+        # enough shots that the run outlasts several 25 ms STATUS budgets
         prog = readout_program(n_reads=2)
-        shots = 4
+        shots = 150
         acq = AcqConfig(tap="adc", unit=3, length=300)
         local = simulate_program(prog, wiring=Loopback(), shots=shots, acq=acq, seed=1234)
         transport = LossyTransport(
