@@ -30,6 +30,7 @@ from typing import NamedTuple
 from .errors import EncodingError
 
 COMMAND_BITS = 128
+COMMAND_BYTES = COMMAND_BITS // 8
 
 FREQ_WORD_BITS = 24
 PHASE_WORD_BITS = 14
@@ -140,20 +141,27 @@ def decode(word: int, strict: bool = True) -> CommandFields:
     ))
 
 
-def command_to_bytes(word) -> bytes:
-    """Serialize one command big-endian (MSB first), 16 bytes.
+def commands_to_bytes(words) -> bytes:
+    """Serialize command words big-endian (MSB first), 16 bytes each.
 
-    Accepts either the packed integer or a CommandFields record.
+    Raises EncodingError naming the first word outside 128 bits.
     """
-    if isinstance(word, CommandFields):
-        word = encode(word)
-    return word.to_bytes(COMMAND_BITS // 8, "big")
+    words = [int(w) for w in words]
+    try:
+        return b"".join(w.to_bytes(COMMAND_BYTES, "big") for w in words)
+    except OverflowError:
+        bad = next(w for w in words if not 0 <= w < 1 << COMMAND_BITS)
+        raise EncodingError(f"command word {bad:#x} does not fit {COMMAND_BITS} bits") from None
 
 
-def command_from_bytes(data: bytes, strict: bool = True) -> CommandFields:
-    if len(data) != COMMAND_BITS // 8:
-        raise EncodingError(f"command must be {COMMAND_BITS // 8} bytes, got {len(data)}")
-    return decode(int.from_bytes(data, "big"), strict=strict)
+def commands_from_bytes(data) -> list:
+    """The command words, as ints, of big-endian 16-byte ``data``."""
+    if len(data) % COMMAND_BYTES:
+        raise EncodingError(f"commands must be {COMMAND_BYTES} bytes each, got {len(data)} bytes")
+    return [
+        int.from_bytes(data[k : k + COMMAND_BYTES], "big")
+        for k in range(0, len(data), COMMAND_BYTES)
+    ]
 
 
 def _round_half_up(x: float) -> int:

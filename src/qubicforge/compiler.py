@@ -349,13 +349,6 @@ def lower_to_tp(
 # Step 3: command/envelope lowering
 
 
-@dataclass(frozen=True)
-class EnvelopeRegion:
-    element: int
-    start: int
-    length: int
-
-
 @functools.lru_cache(maxsize=64)
 def _packed_words(shape, n_samples, amp, sample_rate):
     """Quantized amp-scaled words of the envelope ``shape`` (an
@@ -583,7 +576,7 @@ class CompiledProgram:
             out += len(words).to_bytes(4, "big")
             out += np.asarray(words, dtype=">u4").tobytes()
         out += len(self.image.commands).to_bytes(4, "big")
-        out += b"".join(int(cmd).to_bytes(16, "big") for cmd in self.image.commands)
+        out += cmdcodec.commands_to_bytes(self.image.commands)
         out += zlib.crc32(bytes(out)).to_bytes(4, "big")
         return bytes(out)
 
@@ -636,14 +629,12 @@ class CompiledProgram:
             if element <= previous:
                 raise CompileError("compiled program container has envelope segments out of order")
             envelopes[element] = np.frombuffer(take(4 * number(4)), dtype=">u4")
-        raw = take(16 * number(4))
+        raw = take(cmdcodec.COMMAND_BYTES * number(4))
         if pos != len(body):
             raise CompileError(
                 f"compiled program container has {len(body) - pos} trailing bytes"
             )
-        commands = tuple(
-            int.from_bytes(raw[k : k + 16], "big") for k in range(0, len(raw), 16)
-        )
+        commands = tuple(cmdcodec.commands_from_bytes(raw))
         image = ProgramImage(commands=commands, envelopes=envelopes, repeat_cycles=repeat_cycles)
         return cls(
             image=image,

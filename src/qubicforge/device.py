@@ -29,13 +29,15 @@ Regions:
 only where the device does not already hold them.
 
 Ops: WRITE, READ, START (begin a run in the background), STOP, STATUS.
-STATUS returns three u32s: running flag, shots completed, fault count.
+STATUS returns three u32s: running flag, and the shots completed and
+faults of the current or last START.
 A STATUS ``count`` is a wait budget in ms: the server answers when the
 run ends or the budget runs out (0 answers at once).
 """
 
 from __future__ import annotations
 
+import logging
 import random
 import socket
 import struct
@@ -48,9 +50,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmdcodec
-from .dspsim import AcqConfig, ProgramImage, Simulator, acc_windows
+from .dspsim import AcqConfig, ProgramImage, RunBuffers, Simulator, acc_windows
 from .envgen import iq_lanes, u32_array
-from .errors import SimulationError, TransportError
+from .errors import EncodingError, SimulationError, TransportError
+
+logger = logging.getLogger("qubicforge.device")
 
 MAGIC = b"QBC1"
 HEADER = struct.Struct(">4sIBBBBII")
@@ -99,9 +103,8 @@ N_CONTROL_REGS = 8
 
 _ACQ_TAPS = ("adc", "dac", "dlo")
 
-COMMAND_WORD_SIZE = 16
 REGION_WORD_SIZE = {
-    REGION_COMMAND: COMMAND_WORD_SIZE,
+    REGION_COMMAND: cmdcodec.COMMAND_BYTES,
     REGION_ENVELOPE: 4,
     REGION_ACC: 4,
     REGION_ACQ: 4,
@@ -156,23 +159,14 @@ def decode_packet(data: bytes) -> Packet:
     )
 
 
-def _unpack_commands(payload) -> list:
-    return [
-        int.from_bytes(payload[k : k + COMMAND_WORD_SIZE], "big")
-        for k in range(0, len(payload), COMMAND_WORD_SIZE)
-    ]
-
-
 def _pack_words(region, words) -> bytes:
     """Big-endian payload of ``words``; TransportError if one does not fit."""
-    if region == REGION_COMMAND:
-        words = [int(w) for w in words]
-        bad = next((w for w in words if not 0 <= w < 1 << 8 * COMMAND_WORD_SIZE), None)
-        if bad is not None:
-            raise TransportError(f"command word {bad:#x} does not fit 128 bits")
-        return b"".join(w.to_bytes(COMMAND_WORD_SIZE, "big") for w in words)
     try:
+        if region == REGION_COMMAND:
+            return cmdcodec.commands_to_bytes(words)
         return u32_array(words).astype(">u4").tobytes()
+    except EncodingError as exc:
+        raise TransportError(str(exc)) from None
     except ValueError as exc:
         raise TransportError(f"region {region}: {exc}") from None
 
@@ -270,12 +264,15 @@ class DeviceServer:
     Holds the memory regions, executes runs on the signal-path
     simulator in a background thread, and answers the control protocol.
     START prepares (decodes and validates) the staged program once; the
-    run thread synthesizes its signals and then takes the simulator's
-    shot loop one shot at a time, so STATUS can observe progress and
-    STOP can interrupt.  Every START numbers its shots from 0, so one
-    START of n shots equals a local run of n shots.  A STATUS with a
-    wait budget holds the serving thread until the run ends or the
-    budget runs out; no other datagram is answered meanwhile.
+    run thread then iterates the simulator's shot loop, which folds each
+    shot into the device's buffers under the device lock, so STATUS
+    can observe progress and STOP can interrupt.  Every START numbers
+    its shots from 0 and counts its own shots and faults, so one START
+    of n shots equals a local run of n shots.  A STATUS with a wait
+    budget holds the serving thread until the run ends or the budget
+    runs out; no other datagram is answered meanwhile.  Rejected starts,
+    aborted runs and dropped datagrams are logged to the
+    ``qubicforge.device`` logger.
     """
 
     def __init__(self, hw, wiring=None, host="127.0.0.1", port=0, seed=None, cache_size=1024):
@@ -295,7 +292,6 @@ class DeviceServer:
         self._run_thread = None
         self._run_stop = threading.Event()
         self.dropped = 0  # malformed datagrams, silently discarded
-        self.log = []
         self._reset_state()
 
     def _reset_state(self):
@@ -309,17 +305,11 @@ class DeviceServer:
             self.control = [0] * N_CONTROL_REGS
             self.control[REG_REPEAT_CYCLES] = 1
             self.control[REG_ENVELOPE_DEPTH] = self.hw.envelope_buffer_depth
-            self.acc = {
-                e: []
-                for e in range(
-                    self.hw.n_processing_elements_up,
-                    self.hw.n_elements,
-                )
-            }
-            self.acq = np.zeros((self.hw.acq_buffer_depth, 2), dtype=np.int32)
+            self.buffers = RunBuffers(
+                acc={e: [] for e in range(self.hw.n_processing_elements_up, self.hw.n_elements)},
+                acq=np.zeros((self.hw.acq_buffer_depth, 2), dtype=np.int32),
+            )
             self.running = False
-            self.shots_completed = 0
-            self.fault_count = 0
 
     @property
     def port(self):
@@ -359,7 +349,7 @@ class DeviceServer:
                 request = decode_packet(data)
             except TransportError as exc:
                 self.dropped += 1
-                self.log.append(f"dropped datagram: {exc}")
+                logger.info("dropped datagram: %s", exc)
                 continue
             response = self._respond(request)
             try:
@@ -408,18 +398,18 @@ class DeviceServer:
     def _region_store(self, region, unit):
         """(store list, word size, writable) or None."""
         if region == REGION_COMMAND:
-            return self.commands, COMMAND_WORD_SIZE, True
+            return self.commands, cmdcodec.COMMAND_BYTES, True
         if region == REGION_ENVELOPE:
             store = self.envelopes.get(unit)
             return None if store is None else (store, 4, True)
         if region == REGION_ACC:
-            entries = self.acc.get(unit)
+            entries = self.buffers.acc.get(unit)
             if entries is None:
                 return None
             return np.array(entries, dtype=np.int64).reshape(-1), 4, False
         if region == REGION_ACQ:
             # One word per I/Q row; _op_read packs only the rows it serves.
-            return self.acq, 4, False
+            return self.buffers.acq, 4, False
         if region == REGION_CONTROL:
             return self.control, 4, True
         if region == REGION_ENVELOPE_CRC:
@@ -450,7 +440,7 @@ class DeviceServer:
         if request.region == REGION_CONTROL and lo + count > REG_ENVELOPE_DEPTH:
             return self._status_reply(request, STATUS_BAD_OP)
         if request.region == REGION_COMMAND:
-            store[lo : lo + count] = _unpack_commands(request.payload)
+            store[lo : lo + count] = cmdcodec.commands_from_bytes(request.payload)
         elif request.region == REGION_CONTROL:
             for reg, value in enumerate(np.frombuffer(request.payload, ">u4").tolist(), lo):
                 self._write_control(reg, value)
@@ -462,7 +452,7 @@ class DeviceServer:
     def _write_control(self, reg, value):
         if reg == REG_ACC_CLEAR:
             if value:
-                for entries in self.acc.values():
+                for entries in self.buffers.acc.values():
                     entries.clear()
             return
         self.control[reg] = value
@@ -479,7 +469,7 @@ class DeviceServer:
             return self._status_reply(request, STATUS_BAD_RANGE)
         words = store[request.offset : request.offset + count]
         if request.region == REGION_COMMAND:
-            payload = b"".join(w.to_bytes(COMMAND_WORD_SIZE, "big") for w in words)
+            payload = cmdcodec.commands_to_bytes(words)
         else:
             if request.region == REGION_ACQ:
                 words = acq_words(words)
@@ -512,10 +502,11 @@ class DeviceServer:
             # before confirming the start.
             prepared = self.sim.prepare(image, envelopes=self.envelopes)
         except SimulationError as exc:
-            self.log.append(f"start rejected: {exc}")
+            logger.warning("start rejected: %s", exc)
             return self._status_reply(request, STATUS_BAD_STATE)
         self.running = True
-        self.shots_completed = 0
+        # ACC and ACQ carry over; the shot and fault counts start again
+        self.buffers = RunBuffers(acc=self.buffers.acc, acq=self.buffers.acq)
         self._run_stop.clear()
         shots = self.control[REG_SHOTS]
         self._run_thread = threading.Thread(
@@ -526,24 +517,21 @@ class DeviceServer:
 
     def _run(self, prepared, shots, acq_cfg):
         try:
-            for shot in self.sim.shots(
-                prepared, shots, self.acc, seed=self.seed, lock=self._lock
+            # the loop itself folds every shot into the device's buffers
+            for _ in self.sim.shots(
+                prepared,
+                shots,
+                self.buffers,
+                acq=acq_cfg,
+                seed=self.seed,
+                lock=self._lock,
+                stop=self._run_stop,
             ):
-                capture = None if acq_cfg is None else shot.capture(acq_cfg)
-                faults = len(shot.faults) + shot.saturation_count()
-                with self._lock:
-                    for e, entries in shot.entries.items():
-                        self.acc[e].extend(entries)
-                    if capture is not None:
-                        self.acq[: capture.shape[0]] = capture
-                    self.fault_count += faults
-                    self.shots_completed += 1
-                if self._run_stop.is_set():
-                    break
+                pass
         except SimulationError as exc:
+            logger.warning("run aborted: %s", exc)
             with self._lock:
-                self.log.append(f"run aborted: {exc}")
-                self.fault_count += 1
+                self.buffers.faults += 1
         finally:
             with self._lock:
                 self.running = False
@@ -556,8 +544,9 @@ class DeviceServer:
     def _op_status(self, request):
         # Waiting releases the lock, so the run thread can go on.
         self._run_ended.wait_for(lambda: not self.running, request.count / 1000)
+        b = self.buffers
         payload = struct.pack(
-            ">III", 1 if self.running else 0, self.shots_completed, self.fault_count
+            ">III", 1 if self.running else 0, b.shots_completed, b.faults + b.saturation_count
         )
         return self._status_reply(request, STATUS_OK, payload)
 
@@ -681,7 +670,7 @@ class DeviceClient:
     def read_region(self, region, unit, offset, count):
         data = self._read_bytes(region, unit, offset, count)
         if region == REGION_COMMAND:
-            return _unpack_commands(data)
+            return cmdcodec.commands_from_bytes(data)
         return np.frombuffer(data, ">u4").tolist()
 
     def write_control(self, reg, value):
@@ -692,45 +681,32 @@ class DeviceClient:
 
     # -- program workflow ---------------------------------------------------
 
-    def upload_program(self, program, n_up=None):
-        """Load a program's buffers and control registers.
+    def upload_program(self, program):
+        """Load a compiled program's buffers and control registers.
 
         Envelopes are resident: one READ of ENVELOPE_CRC, then a WRITE of
         the words, zero-padded to depth, of each up element (those the
         envelopes name or the commands address) whose device CRC
         differs.  Afterwards the device's envelope memory is what a local
-        run of the program reads.  A compiled program brings its own
-        hardware; a bare image needs ``n_up``, and its depth is read from
-        the device's ENVELOPE_DEPTH register.
+        run of the program reads.
         """
-        if hasattr(program, "hw"):
-            image, fields = program.image, program.commands
-            n_up = program.hw.n_processing_elements_up
-            depth = program.hw.envelope_buffer_depth
-        elif n_up is None:
-            raise TransportError("n_up is required when loading a bare image")
-        else:
-            # non-strict: START, not the upload, rejects reserved bits
-            image = program
-            fields = (cmdcodec.decode(c, strict=False) for c in program.commands)
-            depth = self.read_control(REG_ENVELOPE_DEPTH)
+        image, hw = program.image, program.hw
         self.write_region(REGION_COMMAND, 0, 0, image.commands)
-        self._load_envelopes(image.envelopes, fields, n_up, depth)
+        n_up = hw.n_processing_elements_up
+        elements = sorted(
+            set(image.envelopes) | {cmd.element for cmd in program.commands if cmd.element < n_up}
+        )
+        if elements:
+            crcs = self.read_region(REGION_ENVELOPE_CRC, 0, 0, elements[-1] + 1)
+            for element in elements:
+                words = image.envelopes.get(element, ())
+                padded = np.zeros(max(hw.envelope_buffer_depth, len(words)), dtype=">u4")
+                padded[: len(words)] = words
+                if zlib.crc32(padded) != crcs[element]:
+                    self.write_region(REGION_ENVELOPE, element, 0, padded)
         self.write_region(
             REGION_CONTROL, 0, REG_REPEAT_CYCLES, [image.repeat_cycles, len(image.commands)]
         )
-
-    def _load_envelopes(self, envelopes, fields, n_up, depth):
-        elements = sorted(set(envelopes) | {cmd.element for cmd in fields if cmd.element < n_up})
-        if not elements:
-            return
-        crcs = self.read_region(REGION_ENVELOPE_CRC, 0, 0, elements[-1] + 1)
-        for element in elements:
-            words = envelopes.get(element, ())
-            padded = np.zeros(max(depth, len(words)), dtype=">u4")
-            padded[: len(words)] = words
-            if zlib.crc32(padded) != crcs[element]:
-                self.write_region(REGION_ENVELOPE, element, 0, padded)
 
     def clear_acc(self):
         self.write_control(REG_ACC_CLEAR, 1)
@@ -769,29 +745,15 @@ class DeviceClient:
     def read_acq(self, length):
         return acq_from_words(np.frombuffer(self._read_bytes(REGION_ACQ, 0, 0, length), ">u4"))
 
-    def run_program(self, program, shots, acq=None, n_up=None) -> RemoteResult:
-        """Upload, run, and collect: the full remote execution cycle.
-
-        Accumulator readback needs to know which elements are down
-        converters; that comes from ``program.hw`` when the argument is
-        a compiled program, or from ``n_up`` for a bare buffer image.
-        """
-        image = program.image if hasattr(program, "image") else program
-        if n_up is None:
-            if not hasattr(program, "hw"):
-                raise TransportError("n_up is required when running a bare image")
-            n_up = program.hw.n_processing_elements_up
-        self.upload_program(program, n_up)
+    def run_program(self, program, shots, acq=None) -> RemoteResult:
+        """Upload, run, and collect: the full remote execution cycle."""
+        self.upload_program(program)
         # ACC_CLEAR, ACQ_TAP, ACQ_UNIT, ACQ_LEN
         capture = [0, 0, 0] if acq is None else [_ACQ_TAPS.index(acq.tap), acq.unit, acq.length]
         self.write_region(REGION_CONTROL, 0, REG_ACC_CLEAR, [1, *capture])
         self.start(shots)
         done, faults = self.wait()
-        if hasattr(program, "image"):
-            fields = program.commands  # a compiled program holds them decoded
-        else:
-            fields = map(cmdcodec.decode, image.commands)
-        windows = acc_windows(fields, n_up)
+        windows = acc_windows(program.commands, program.hw.n_processing_elements_up)
         acc = {
             element: self.read_acc(element, n_windows * done)
             for element, n_windows in sorted(windows.items())

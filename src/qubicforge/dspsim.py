@@ -261,7 +261,7 @@ class SimResult:
     shots_requested: int
     shots_completed: int
     acc: dict  # element -> int64 array (n, 2), exact I/Q sums in i32 range
-    acq: np.ndarray  # (length, 2) int32, captured on the final shot
+    acq: np.ndarray  # (length, 2) int32 within 16 bits, captured on the final shot
     acq_config: AcqConfig
     dac: dict  # pair -> (n_samples, 2) int32, final shot, saturated
     saturation_count: int
@@ -283,6 +283,23 @@ class SimResult:
 
     def acq_complex(self):
         return self.acq[:, 0].astype(np.float64) + 1j * self.acq[:, 1].astype(np.float64)
+
+
+@dataclass
+class RunBuffers:
+    """The buffers and counts that ``Simulator.shots`` folds shots into.
+
+    ``acc`` maps each down element to its accumulator entries, (I, Q)
+    pairs; ``acq`` takes each shot's capture in its first rows, so it
+    holds the last completed shot's.  ``faults`` counts fault entries
+    and ``saturation_count`` DAC samples past full scale.
+    """
+
+    acc: dict
+    acq: np.ndarray
+    shots_completed: int = 0
+    faults: int = 0
+    saturation_count: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -495,73 +512,70 @@ class Simulator:
 
     # -- execution ----------------------------------------------------------
 
-    def shots(self, prepared, shots, acc, seed=None, start_shot=0, lock=nullcontext()):
-        """Run up to ``shots`` shots of ``prepared``, yielding each finished shot.
+    def shots(self, prepared, shots, out, acq=None, seed=None, lock=nullcontext(), stop=None):
+        """Run up to ``shots`` shots of ``prepared``, folding each into ``out``.
 
-        A yielded shot holds its accumulator ``entries``, ``faults``,
-        ``flags`` and DAC sums.  Shot ``k`` draws from the random stream
-        ``(seed, k)``.  ``acc`` maps each down element to the entries its
-        accumulator holds; the caller appends every yielded shot's
-        ``entries``.  Before each shot the loop reads ``acc`` under
-        ``lock`` and stops rather than let a window overflow the
-        accumulator depth.  The program's signals are synthesized once,
+        Shot ``k`` draws from the random stream ``(seed, k)``.  Each
+        finished shot appends its accumulator entries to ``out.acc``,
+        adds its faults and saturated samples to the counts, writes its
+        ``acq`` capture into the first rows of ``out.acq`` and counts
+        itself; then it is yielded, with its ``faults``, ``flags`` and
+        DAC sums.  ``out`` is read and written under ``lock``.  Before
+        each shot the loop stops if ``stop`` is set or a window would
+        overflow the accumulator depth, counting entries ``out.acc``
+        already holds.  The program's signals are synthesized once,
         before the first shot, in the thread that iterates the loop.
         """
         depth = self.hw.acc_buffer_depth
         events = self._synthesize(prepared)
-        for shot in range(start_shot, start_shot + shots):
+        for shot in range(shots):
             with lock:
-                if any(len(acc[e]) + n > depth for e, n in prepared.windows.items()):
+                if stop is not None and stop.is_set():
+                    return
+                if any(len(out.acc[e]) + n > depth for e, n in prepared.windows.items()):
                     return
             rng = np.random.default_rng(None if seed is None else (seed, shot))
             state = _ShotState(self, prepared, events, shot, rng)
             state.execute()
+            capture = None if acq is None else state.capture(acq)
+            saturated = state.saturation_count()
+            with lock:
+                for e, entries in state.entries.items():
+                    out.acc[e].extend(entries)
+                out.faults += len(state.faults)
+                out.saturation_count += saturated
+                if capture is not None:
+                    out.acq[: capture.shape[0]] = capture
+                out.shots_completed += 1
             yield state
 
     def run(
-        self,
-        image: ProgramImage,
-        shots: int = 1,
-        acq: AcqConfig = None,
-        seed=None,
-        start_shot: int = 0,
+        self, image: ProgramImage, shots: int = 1, acq: AcqConfig = None, seed=None
     ) -> SimResult:
-        """Execute ``shots`` repetitions and collect the result buffers.
-
-        ``start_shot`` offsets the shot indices (and their per-shot
-        random streams), so a run split into chunks reproduces a single
-        contiguous run exactly.
-        """
+        """Execute ``shots`` repetitions and collect the result buffers."""
         prepared = self.prepare(image)
         if acq is not None and acq.length > self.hw.acq_buffer_depth:
             raise SimulationError(
                 f"acquisition length {acq.length} exceeds depth {self.hw.acq_buffer_depth}"
             )
-
-        acc = {e: [] for e in prepared.windows}
-        faults = []
-        saturation_count = 0
-        acq_capture = np.zeros((acq.length if acq else 0, 2), dtype=np.int32)
-        shots_completed = 0
+        out = RunBuffers(
+            acc={e: [] for e in prepared.windows},
+            acq=np.zeros((acq.length if acq else 0, 2), dtype=np.int32),
+        )
+        fault_log = []
         last = None  # the final shot supplies dac and flags
-        for last in self.shots(prepared, shots, acc, seed=seed, start_shot=start_shot):
-            for e, entries in last.entries.items():
-                acc[e].extend(entries)
-            faults.extend(last.faults)
-            saturation_count += last.saturation_count()
-            shots_completed += 1
-            if acq is not None:
-                acq_capture = last.capture(acq)
+        for last in self.shots(prepared, shots, out, acq=acq, seed=seed):
+            fault_log.extend(last.faults)
 
         return SimResult(
             shots_requested=shots,
-            shots_completed=shots_completed,
-            acc={e: np.array(v, dtype=np.int64).reshape(-1, 2) for e, v in acc.items()},
-            acq=acq_capture,
+            shots_completed=out.shots_completed,
+            acc={e: np.array(v, dtype=np.int64).reshape(-1, 2) for e, v in out.acc.items()},
+            acq=out.acq,
             acq_config=acq if acq else AcqConfig(length=0),
             dac=last.saturated_dac() if last else {},
-            saturation_count=saturation_count,
-            fault_log=faults,
+            saturation_count=out.saturation_count,
+            fault_log=fault_log,
             flags=dict(last.flags) if last else {},
         )
 
@@ -645,7 +659,9 @@ class _ShotState:
         elif acq.tap == "adc":
             if acq.unit >= self.sim.hw.n_dac_pairs:
                 raise SimulationError(f"no ADC pair {acq.unit}")
-            out[:n] = self.sim.wiring.read(self.shot, acq.unit, 0, n, self._dac_read, self.rng)
+            adc = self.sim.wiring.read(self.shot, acq.unit, 0, n, self._dac_read, self.rng)
+            # the capture holds 16-bit I/Q, as an ACQ word does
+            out[:n] = np.clip(adc, -32768, 32767)
         else:
             tap = self.dlo_tap.get(acq.unit)
             if tap is not None:

@@ -59,12 +59,6 @@ class GaussianMixture:
             )
         return out
 
-    def posterior(self, iq) -> np.ndarray:
-        lj = self._log_joint(_features(iq))
-        lj -= lj.max(axis=1, keepdims=True)
-        p = np.exp(lj)
-        return p / p.sum(axis=1, keepdims=True)
-
     def classify(self, iq) -> np.ndarray:
         return np.argmax(self._log_joint(_features(iq)), axis=1)
 

@@ -227,10 +227,6 @@ def chevron(model, detunings, durations, amp, shots, seed=None):
 # Two-qubit density-matrix primitives
 
 
-def apply_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return u @ rho @ u.conj().T
-
-
 def depolarize(rho: np.ndarray, strength: float) -> np.ndarray:
     """Depolarizing channel on a density matrix or a (..., d, d) stack."""
     if strength == 0.0:

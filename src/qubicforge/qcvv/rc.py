@@ -135,11 +135,6 @@ def _equivalent(u: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
     )
 
 
-def unitarily_equivalent(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> bool:
-    """True when v equals u up to a global phase."""
-    return bool(_equivalent(u, v[None], tol)[0])
-
-
 def verify_twirl(bare: TwoQubitCircuit, variant: TwoQubitCircuit, tol: float = 1e-10):
     _verify(circuit_unitary(bare), _unitaries(_layers(variant)[None]), tol)
 
@@ -199,15 +194,9 @@ def _evolve(mats: np.ndarray, model: MockQubitModel) -> np.ndarray:
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def final_probabilities(
-    circuit: TwoQubitCircuit, model: MockQubitModel, seqgen=None
-) -> np.ndarray:
-    """Diagonal of the noisy output state over 00..11.
-
-    ``seqgen`` optionally holds the precomputed easy-layer unitaries.
-    """
-    mats = _seqgen(_layers(circuit)) if seqgen is None else np.asarray(seqgen)
-    return _evolve(mats[None], model)[0]
+def final_probabilities(circuit: TwoQubitCircuit, model: MockQubitModel) -> np.ndarray:
+    """Diagonal of the noisy output state over 00..11."""
+    return _evolve(_seqgen(_layers(circuit))[None], model)[0]
 
 
 def _ideal_probs(layers: np.ndarray) -> np.ndarray:

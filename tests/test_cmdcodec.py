@@ -14,8 +14,8 @@ from qubicforge.cmdcodec import (
     FREQ_WORD_BITS,
     PHASE_WORD_BITS,
     CommandFields,
-    command_from_bytes,
-    command_to_bytes,
+    commands_from_bytes,
+    commands_to_bytes,
     decode,
     encode,
     freq_to_word,
@@ -121,19 +121,31 @@ class TestLayout:
     def test_roundtrip(self, fields):
         assert decode(encode(fields)) == fields
 
-    @given(field_strategy())
+    @given(st.lists(field_strategy(), max_size=5))
     @settings(max_examples=200)
-    def test_bytes_roundtrip(self, fields):
-        blob = command_to_bytes(fields)
-        assert len(blob) == 16
-        assert command_from_bytes(blob) == fields
+    def test_bytes_roundtrip(self, records):
+        words = [encode(fields) for fields in records]
+        blob = commands_to_bytes(words)
+        assert len(blob) == 16 * len(words)
+        assert commands_from_bytes(blob) == words
+        assert [decode(w) for w in commands_from_bytes(blob)] == records
 
     def test_bytes_big_endian(self):
         # trig_t occupies the least significant bits, so it lands in the
         # final bytes of the big-endian serialization.
-        blob = command_to_bytes(CommandFields(trig_t=0xABCDEF))
+        blob = commands_to_bytes([encode(CommandFields(trig_t=0xABCDEF))])
         assert blob[-3:] == bytes([0xAB, 0xCD, 0xEF])
         assert all(b == 0 for b in blob[:-3])
+
+    @pytest.mark.parametrize("bad", [1 << 128, -1])
+    def test_bytes_word_outside_128_bits_rejected(self, bad):
+        with pytest.raises(EncodingError, match=f"^command word {bad:#x} does not fit 128 bits$"):
+            commands_to_bytes([0, bad, 1 << 130])
+
+    @pytest.mark.parametrize("size", [1, 15, 17, 33])
+    def test_bytes_partial_word_rejected(self, size):
+        with pytest.raises(EncodingError, match=f"got {size} bytes"):
+            commands_from_bytes(bytes(size))
 
 
 class TestFrequencyWord:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qubicforge import TransportError
+from qubicforge import SimulationError, TransportError
 from qubicforge.chipcfg import (
     load_chip_config,
     load_gate_spec,
@@ -54,7 +54,7 @@ from qubicforge.device import (
     decode_packet,
     encode_packet,
 )
-from qubicforge.dspsim import AcqConfig, Loopback, ProgramImage, Simulator
+from qubicforge.dspsim import AcqConfig, External, Loopback, ProgramImage, Simulator
 from qubicforge import cmdcodec, dspsim
 
 CHIP = load_chip_config(
@@ -193,6 +193,24 @@ def long_image(hw, n_windows=64):
         envelopes=envelopes,
         repeat_cycles=n_windows * cycles,
     )
+
+
+def noisy_loopback():
+    """Each ADC pair sees its DAC pair plus Gaussian noise drawn from the
+    shot's random stream."""
+
+    def streams(shot, dac, rng):
+        out = {}
+        for pair in range(HW.n_dac_pairs):
+            clean = dac(pair, 0, 1 << 20)
+            out[pair] = clean + rng.normal(0, 300, clean.shape).round().astype(np.int64)
+        return out
+
+    return External(streams)
+
+
+def device_log(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "qubicforge.device"]
 
 
 def readout_program(n_reads=1):
@@ -462,7 +480,7 @@ class TestExecution:
             client.stop()
             client.wait()
 
-    def test_invalid_image_rejected_synchronously(self, server):
+    def test_invalid_image_rejected_synchronously(self, server, caplog):
         bad = cmdcodec.encode(
             cmdcodec.CommandFields(element=200, length=4, trig_t=0)
         )
@@ -472,7 +490,7 @@ class TestExecution:
             client.write_control(REG_SHOTS, 1)
             with pytest.raises(TransportError, match="bad state"):
                 client._request(OP_START)
-        assert any("start rejected" in line for line in server.log)
+        assert any("start rejected" in line for line in device_log(caplog))
 
     def test_acc_capacity_halts_run(self):
         hw = hw_with_acc_depth(10)
@@ -547,50 +565,75 @@ class TestExecution:
         n_up = HW.n_processing_elements_up
         local = Simulator(HW, wiring=Loopback()).run(image, seed=1234)
         with make_client(server) as client:
-            remote = client.run_program(image, 1, n_up=n_up)
+            remote = client.run_program(image_program(image), 1)
         assert (remote.shots_completed, remote.fault_count) == (1, local.saturation_count)
         assert np.array_equal(remote.acc[n_up], local.acc[n_up])
 
-    def test_conditional_command_without_flag_source_rejected(self, server):
+    def test_conditional_command_without_flag_source_rejected(self, server, caplog):
         # the default condition map gates up elements only
         n_up = HW.n_processing_elements_up
         word = cmdcodec.encode(cmdcodec.CommandFields(element=n_up, length=32, condition=1))
         image = ProgramImage(commands=(word,), envelopes={}, repeat_cycles=16)
         with make_client(server) as client:
             with pytest.raises(TransportError, match="bad state"):
-                client.run_program(image, 1, n_up=n_up)
+                client.run_program(image_program(image), 1)
             assert client.status() == (False, 0, 0)
-        assert server.log == [
+        assert device_log(caplog) == [
             f"start rejected: element {n_up} has a conditional command but no flag source"
         ]
+
+    def test_aborted_run(self, server, caplog):
+        prog = readout_program()
+        acq = AcqConfig(tap="adc", unit=9, length=64)
+        with pytest.raises(SimulationError, match="^no ADC pair 9$"):
+            simulate_program(prog, wiring=Loopback(), shots=2, acq=acq, seed=1234)
+        with make_client(server) as client:
+            remote = client.run_program(prog, 2, acq=acq)
+        assert (remote.shots_completed, remote.fault_count) == (0, 1)
+        assert device_log(caplog) == ["run aborted: no ADC pair 9"]
+
+    def test_fault_count_is_per_start(self, server):
+        prog = image_program(faulty_image(HW))
+        local = simulate_program(prog, wiring=Loopback(), shots=2, seed=1234)
+        faults = len(local.fault_log) + local.saturation_count
+        assert faults > 0
+        with make_client(server) as client:
+            counts = [client.run_program(prog, 2).fault_count for _ in range(2)]
+            client.run_program(prog, 2, acq=AcqConfig(tap="adc", unit=9, length=64))
+            counts.append(client.run_program(prog, 2).fault_count)
+        assert counts == [faults] * 3
 
     @given(
         faulty=st.booleans(),
         shots=st.integers(0, 6),
         depth=st.integers(1, 12),
         seed=st.integers(0, 3),
+        noisy=st.booleans(),
+        tap=st.sampled_from(["adc", "dac", "dlo"]),
     )
     @settings(
         max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
-    def test_one_start_equals_local_run(self, faulty, shots, depth, seed):
+    def test_one_start_equals_local_run(self, faulty, shots, depth, seed, noisy, tap):
         hw = hw_with_acc_depth(depth)
         if faulty:
-            image = faulty_image(hw)
+            program = image_program(faulty_image(hw), hw)
         else:
-            image = compile_circuit(
+            program = compile_circuit(
                 Circuit((GateOp("X90", ("Q6",)), GateOp("read", ("Q6",))) * 2),
                 CHIP,
                 GATES,
                 hw,
-            ).image
-        acq = AcqConfig(tap="adc", unit=0 if faulty else 3, length=96)
-        local = Simulator(hw, wiring=Loopback()).run(image, shots=shots, acq=acq, seed=seed)
-        with DeviceServer(hw, wiring=Loopback(), seed=seed) as srv:
+            )
+        unit = {"adc": 0 if faulty else 3, "dac": 0, "dlo": hw.n_processing_elements_up}[tap]
+        acq = AcqConfig(tap=tap, unit=unit, length=96)
+        wiring = noisy_loopback if noisy else Loopback
+        local = Simulator(hw, wiring=wiring()).run(
+            program.image, shots=shots, acq=acq, seed=seed
+        )
+        with DeviceServer(hw, wiring=wiring(), seed=seed) as srv:
             with make_client(srv) as client:
-                remote = client.run_program(
-                    image, shots, acq=acq, n_up=hw.n_processing_elements_up
-                )
+                remote = client.run_program(program, shots, acq=acq)
         assert remote.shots_completed == local.shots_completed
         assert remote.fault_count == len(local.fault_log) + local.saturation_count
         assert set(remote.acc) == set(local.acc)
@@ -662,32 +705,16 @@ class TestResidentEnvelopes:
         local = Simulator(HW, wiring=Loopback()).run(short.image, seed=1234)
         longer = Simulator(HW, wiring=Loopback()).run(long.image, seed=1234)
         assert not np.array_equal(local.acc[n_up], longer.acc[n_up])
-        with make_client(server) as client:
+        with recording_client(server) as client:
             client.run_program(long, 1)
             remote = client.run_program(short, 1)
-        # words [32, 64) of the longer program are not left behind
-        assert np.array_equal(remote.acc[n_up], local.acc[n_up])
-
-    def test_bare_images_remote_equal_local_after_a_longer_one(self, server):
-        # a bare image carries no depth: the client reads the device's
-        long, short = read_window_image(64), read_window_image(32)
-        n_up = HW.n_processing_elements_up
-        local = Simulator(HW, wiring=Loopback()).run(short, seed=1234)
-        with recording_client(server) as client:
-            client.run_program(long, 1, n_up=n_up)
-            remote = client.run_program(short, 1, n_up=n_up)
-            # words [32, 64) of the longer image are not left behind
+            # words [32, 64) of the longer program are not left behind
             assert np.array_equal(remote.acc[n_up], local.acc[n_up])
             assert envelope_writes(client.transport.sent) == [0, 0]
             client.transport.sent.clear()
-            again = client.run_program(short, 1, n_up=n_up)
+            again = client.run_program(short, 1)
             assert envelope_writes(client.transport.sent) == []
         assert np.array_equal(again.acc[n_up], local.acc[n_up])
-
-    def test_bare_image_upload_needs_n_up(self, server):
-        with make_client(server) as client:
-            with pytest.raises(TransportError, match="n_up is required"):
-                client.upload_program(read_window_image(32))
 
     def test_steady_state_sends_no_envelopes(self, server):
         progs = [readout_program(1), readout_program(2)]  # the same envelopes

@@ -538,6 +538,15 @@ class TestAcquisition:
         with pytest.raises(SimulationError, match="depth"):
             Simulator(HW).run(image, acq=AcqConfig(tap="dac", unit=0, length=10_000))
 
+    def test_adc_tap_saturates_to_16_bits(self):
+        # the wire's ACQ words hold 16-bit I/Q, so a local capture does too
+        def fn(shot, dac_reader, rng):
+            return {0: np.array([[40000, -40000], [-32768, 32767], [5, -5]])}
+
+        image = ProgramImage(commands=[], envelopes={}, repeat_cycles=32)
+        res = Simulator(HW, wiring=External(fn)).run(image, acq=AcqConfig(unit=0, length=4))
+        assert res.acq.tolist() == [[32767, -32768], [-32768, 32767], [5, -5], [0, 0]]
+
     def test_dlo_tap_zero_outside_window(self):
         image = ProgramImage(commands=[down_cmd(trig_t=4, length=32)], envelopes={}, repeat_cycles=32)
         res = Simulator(HW).run(image, acq=AcqConfig(tap="dlo", unit=16, length=64))

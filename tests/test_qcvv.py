@@ -49,7 +49,6 @@ from qubicforge.qcvv.rc import (
     STAGES,
     circuit_unitary,
     final_probabilities,
-    unitarily_equivalent,
 )
 
 
@@ -551,8 +550,9 @@ class TestRC:
 
     def test_unitary_equivalence_helper(self):
         u = circuit_unitary(TwoQubitCircuitStub((0, 0), (3, 3)))
-        assert unitarily_equivalent(u, np.exp(1j * 0.7) * u)
-        assert not unitarily_equivalent(u, np.eye(4))
+        rc_module._verify(u, (np.exp(1j * 0.7) * u)[None])
+        with pytest.raises(AnalysisError, match="not equivalent"):
+            rc_module._verify(u, np.eye(4)[None])
 
     def test_readout_errors_fold_into_counts(self):
         rng = np.random.default_rng(45)
