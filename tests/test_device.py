@@ -705,10 +705,21 @@ class TestResidentEnvelopes:
         local = Simulator(HW, wiring=Loopback()).run(short.image, seed=1234)
         longer = Simulator(HW, wiring=Loopback()).run(long.image, seed=1234)
         assert not np.array_equal(local.acc[n_up], longer.acc[n_up])
+        with make_client(server) as client:
+            client.run_program(long, 1)
+            remote = client.run_program(short, 1)
+        # words [32, 64) of the longer program are not left behind
+        assert np.array_equal(remote.acc[n_up], local.acc[n_up])
+
+    def test_bare_images_remote_equal_local_after_a_longer_one(self, server):
+        # hand-built images, not compiled: wrapped only to carry their hardware
+        long, short = image_program(read_window_image(64)), image_program(read_window_image(32))
+        n_up = HW.n_processing_elements_up
+        local = Simulator(HW, wiring=Loopback()).run(short.image, seed=1234)
         with recording_client(server) as client:
             client.run_program(long, 1)
             remote = client.run_program(short, 1)
-            # words [32, 64) of the longer program are not left behind
+            # words [32, 64) of the longer image are not left behind
             assert np.array_equal(remote.acc[n_up], local.acc[n_up])
             assert envelope_writes(client.transport.sent) == [0, 0]
             client.transport.sent.clear()
