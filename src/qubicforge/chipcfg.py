@@ -16,16 +16,20 @@ HardwareConfig
 
 All files are JSON with SI base units (Hz, seconds).  Every file may
 carry a ``"version"`` integer (default 1); unknown versions are
-rejected.  Configs are immutable after load and safe to share across
-concurrent compilations.
+rejected.  An object's keys are the fields of the dataclass it loads
+into.  Configs are immutable after load (their mappings are read-only)
+and safe to share across concurrent compilations.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 from .envgen import EnvelopeSpec
 from .errors import ConfigError
@@ -60,17 +64,37 @@ def _load_json(path_or_text):
     return data
 
 
-def _check_version(data, path):
+@functools.cache
+def _field_names(cls):
+    """The field names of the record dataclass ``cls``, in field order, as
+    the keys of a dict (for quick lookups); do not change it."""
+    return dict.fromkeys(f.name for f in fields(cls))
+
+
+def _check_fields(data, cls, where, optional=(), extra=()):
+    """Reject the first key of ``data``, in data order, that is neither a
+    field of ``cls`` nor named in ``extra``; then the first field, in
+    field order, that ``data`` lacks and ``optional`` does not name."""
+    names = _field_names(cls)
+    for key in data:
+        if key not in names and key not in extra:
+            raise ConfigError("unknown field", path=f"{where}{key}")
+    if len(data) == len(names) + len(extra):  # every allowed key is there
+        return
+    for name in names:
+        if name not in data and name not in optional:
+            raise ConfigError("missing field", path=f"{where}{name}")
+
+
+def _load_config(path_or_text, cls):
+    """The top-level object of a ``cls`` file: a known ``version`` and
+    the fields of ``cls``, each optional."""
+    data = _load_json(path_or_text)
     version = data.get("version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
-        raise ConfigError(f"unknown schema version {version!r}", path=f"{path}version")
-    return version
-
-
-def _reject_unknown(data, allowed, where):
-    for key in data:
-        if key not in allowed:
-            raise ConfigError("unknown field", path=f"{where}{key}")
+        raise ConfigError(f"unknown schema version {version!r}", path="version")
+    _check_fields(data, cls, "", optional=_field_names(cls), extra=("version",))
+    return data
 
 
 def _require_number(value, path, positive=False, nonnegative=False):
@@ -135,6 +159,16 @@ def parse_phase(value, path="pcarrier"):
     return ev(tree)
 
 
+class _Config:
+    """What the three config layers share: their JSON text.  Each record
+    dataclass keeps its fields, and nothing else, in its ``__dict__``, so
+    a copy of that is the record's JSON object.  A config's mapping
+    fields are read-only copies of the mappings it was built with."""
+
+    def to_json(self, indent=2):
+        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+
+
 # ---------------------------------------------------------------------------
 # ChipConfig
 
@@ -146,9 +180,13 @@ class QubitParams:
 
 
 @dataclass(frozen=True)
-class ChipConfig:
-    qubits: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
+class ChipConfig(_Config):
+    qubits: Mapping = field(default_factory=dict)
+    metadata: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "qubits", MappingProxyType(dict(self.qubits)))
+        object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
 
     def resolve_carrier(self, ref, path="fcarrier"):
         """Resolve a numeric or symbolic carrier to Hz.
@@ -175,23 +213,16 @@ class ChipConfig:
         )
 
     def to_json_dict(self):
-        out = {"version": SCHEMA_VERSION, "qubits": {}}
-        for name in self.qubits:
-            q = self.qubits[name]
-            out["qubits"][name] = {"drive_freq": q.drive_freq, "readout_freq": q.readout_freq}
+        qubits = {name: q.__dict__.copy() for name, q in self.qubits.items()}
+        out = {"version": SCHEMA_VERSION, "qubits": qubits}
         if self.metadata:
             out["metadata"] = dict(self.metadata)
         return out
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
-
 
 def load_chip_config(path_or_text) -> ChipConfig:
     """Load and validate a chip configuration file."""
-    data = _load_json(path_or_text)
-    _check_version(data, "")
-    _reject_unknown(data, {"version", "qubits", "metadata"}, "")
+    data = _load_config(path_or_text, ChipConfig)
     raw_qubits = data.get("qubits", {})
     if not isinstance(raw_qubits, dict):
         raise ConfigError("expected an object", path="qubits")
@@ -201,23 +232,18 @@ def load_chip_config(path_or_text) -> ChipConfig:
         where = f"qubits.{name}"
         if not isinstance(entry, dict):
             raise ConfigError("expected an object", path=where)
-        _reject_unknown(entry, {"drive_freq", "readout_freq"}, where + ".")
-        for f in ("drive_freq", "readout_freq"):
-            if f not in entry:
-                raise ConfigError("missing field", path=f"{where}.{f}")
-        qubits[name] = QubitParams(
-            drive_freq=_require_number(entry["drive_freq"], f"{where}.drive_freq", positive=True),
-            readout_freq=_require_number(
-                entry["readout_freq"], f"{where}.readout_freq", positive=True
-            ),
-        )
+        _check_fields(entry, QubitParams, where + ".")
+        qubits[name] = QubitParams(*(
+            _require_number(entry[f], f"{where}.{f}", positive=True)
+            for f in _field_names(QubitParams)
+        ))
 
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
     ):
         raise ConfigError("metadata must map strings to strings", path="metadata")
-    return ChipConfig(qubits=qubits, metadata=dict(metadata))
+    return ChipConfig(qubits=qubits, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +264,11 @@ class PulseDef:
 
 
 @dataclass(frozen=True)
-class GatePulseSpec:
-    gates: dict = field(default_factory=dict)  # name -> tuple of PulseDef
+class GatePulseSpec(_Config):
+    gates: Mapping = field(default_factory=dict)  # name -> tuple of PulseDef
+
+    def __post_init__(self):
+        object.__setattr__(self, "gates", MappingProxyType(dict(self.gates)))
 
     def __contains__(self, name):
         return name in self.gates
@@ -252,16 +281,11 @@ class GatePulseSpec:
 
     def duration(self, name):
         """Raw gate duration: max over pulses of t0 + twidth, in seconds."""
-        return max(p.t0 + p.twidth for p in self.pulses(name))
+        return max((p.t0 + p.twidth for p in self.pulses(name)), default=0.0)
 
     def to_json_dict(self):
-        out = {"version": SCHEMA_VERSION, "gates": {}}
-        for name in self.gates:
-            out["gates"][name] = [_pulse_to_json(p) for p in self.gates[name]]
-        return out
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+        gates = {name: [_pulse_to_json(p) for p in pulses] for name, pulses in self.gates.items()}
+        return {"version": SCHEMA_VERSION, "gates": gates}
 
 
 def _pulse_to_json(p: PulseDef):
@@ -270,35 +294,31 @@ def _pulse_to_json(p: PulseDef):
         env["params"] = dict(p.env.params)
     if p.env.kind == "custom_samples":
         env["samples"] = [[z.real, z.imag] for z in p.env.samples]
-    return {
-        "dest": p.dest,
-        "t0": p.t0,
-        "twidth": p.twidth,
-        "fcarrier": p.fcarrier,
-        "pcarrier": p.pcarrier,
-        "amp": p.amp,
-        "env": env,
-    }
+    out = p.__dict__.copy()
+    out["env"] = env
+    return out
 
 
 def parse_envelope(data, path="env") -> EnvelopeSpec:
     if not isinstance(data, dict):
         raise ConfigError("expected an object", path=path)
-    _reject_unknown(data, {"kind", "params", "samples"}, path + ".")
+    # each key may be absent: a missing kind has its own message
+    _check_fields(data, EnvelopeSpec, path + ".", _field_names(EnvelopeSpec))
     kind = data.get("kind")
     if not isinstance(kind, str):
         raise ConfigError("missing envelope kind", path=f"{path}.kind")
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("expected an object", path=f"{path}.params")
+    raw_samples = data.get("samples", [])
+    if not hasattr(raw_samples, "__iter__"):
+        raise ConfigError("expected a list", path=f"{path}.samples")
     samples = []
-    for k, raw in enumerate(data.get("samples", [])):
-        if isinstance(raw, (list, tuple)) and len(raw) == 2:
-            samples.append(complex(raw[0], raw[1]))
-        elif isinstance(raw, (int, float)):
-            samples.append(complex(raw, 0.0))
-        else:
+    for k, raw in enumerate(raw_samples):
+        pair = raw if isinstance(raw, (list, tuple)) else (raw, 0.0)
+        if len(pair) != 2 or not all(isinstance(x, (int, float)) for x in pair):
             raise ConfigError("expected [re, im] or a number", path=f"{path}.samples[{k}]")
+        samples.append(complex(*pair))
     try:
         return EnvelopeSpec(kind=kind, params=dict(params), samples=tuple(samples))
     except Exception as exc:
@@ -307,9 +327,7 @@ def parse_envelope(data, path="env") -> EnvelopeSpec:
 
 def load_gate_spec(path_or_text, chip: ChipConfig) -> GatePulseSpec:
     """Load a gate pulse specification, resolving symbolic carriers."""
-    data = _load_json(path_or_text)
-    _check_version(data, "")
-    _reject_unknown(data, {"version", "gates"}, "")
+    data = _load_config(path_or_text, GatePulseSpec)
     raw_gates = data.get("gates", {})
     if not isinstance(raw_gates, dict):
         raise ConfigError("expected an object", path="gates")
@@ -324,12 +342,7 @@ def load_gate_spec(path_or_text, chip: ChipConfig) -> GatePulseSpec:
             pw = f"{where}[{k}]"
             if not isinstance(entry, dict):
                 raise ConfigError("expected an object", path=pw)
-            _reject_unknown(
-                entry, {"dest", "t0", "twidth", "fcarrier", "pcarrier", "amp", "env"}, pw + "."
-            )
-            for f in ("dest", "twidth", "fcarrier", "amp", "env"):
-                if f not in entry:
-                    raise ConfigError("missing field", path=f"{pw}.{f}")
+            _check_fields(entry, PulseDef, pw + ".", optional=("t0", "pcarrier"))
             amp = _require_number(entry["amp"], f"{pw}.amp")
             if not 0 <= amp <= 1:
                 raise ConfigError(f"amp {amp} outside [0, 1]", path=f"{pw}.amp")
@@ -360,17 +373,20 @@ class ChannelAssignment:
 
 
 @dataclass(frozen=True)
-class HardwareConfig:
+class HardwareConfig(_Config):
     dac_sample_rate: float = 1e9
     dsp_clock: float = 250e6
     n_processing_elements_up: int = 16
     n_processing_elements_down: int = 4
     n_dac_pairs: int = 4
-    channel_map: dict = field(default_factory=dict)
+    channel_map: Mapping = field(default_factory=dict)
     envelope_buffer_depth: int = 1024
     command_buffer_depth: int = 65536
     acc_buffer_depth: int = 1000
     acq_buffer_depth: int = 8192
+
+    def __post_init__(self):
+        object.__setattr__(self, "channel_map", MappingProxyType(dict(self.channel_map)))
 
     @property
     def dt(self):
@@ -405,30 +421,10 @@ class HardwareConfig:
             raise ConfigError(f"channel {name!r} not in hardware channel map") from None
 
     def to_json_dict(self):
-        out = {
-            "version": SCHEMA_VERSION,
-            "dac_sample_rate": self.dac_sample_rate,
-            "dsp_clock": self.dsp_clock,
-            "n_processing_elements_up": self.n_processing_elements_up,
-            "n_processing_elements_down": self.n_processing_elements_down,
-            "n_dac_pairs": self.n_dac_pairs,
-            "envelope_buffer_depth": self.envelope_buffer_depth,
-            "command_buffer_depth": self.command_buffer_depth,
-            "acc_buffer_depth": self.acc_buffer_depth,
-            "acq_buffer_depth": self.acq_buffer_depth,
-            "channel_map": {
-                name: {
-                    "element": ch.element,
-                    "destination": ch.destination,
-                    "direction": ch.direction,
-                }
-                for name, ch in self.channel_map.items()
-            },
-        }
+        out = self.__dict__.copy()
+        out["version"] = SCHEMA_VERSION
+        out["channel_map"] = {name: ch.__dict__.copy() for name, ch in self.channel_map.items()}
         return out
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
 
 
 def _require_count(value, path, minimum=1):
@@ -439,34 +435,27 @@ def _require_count(value, path, minimum=1):
     return value
 
 
-_HW_FIELDS = {
-    "version",
-    "dac_sample_rate",
-    "dsp_clock",
-    "n_processing_elements_up",
-    "n_processing_elements_down",
-    "n_dac_pairs",
-    "channel_map",
-    "envelope_buffer_depth",
-    "command_buffer_depth",
-    "acc_buffer_depth",
-    "acq_buffer_depth",
+# (name, default, largest value, what bounds it) of each integer field,
+# in field order: element counts, DAC pairs, then buffer depths.
+_HW_LIMITS = {
+    "n_dac_pairs": (4, "the 2-bit destination field"),
+    "envelope_buffer_depth": (4096, "the 12-bit start field"),
 }
+_HW_COUNTS = tuple(
+    (f.name, f.default, *_HW_LIMITS.get(f.name, (math.inf, None)))
+    for f in fields(HardwareConfig)
+    if type(f.default) is int
+)
 
 
 def load_hardware_config(path_or_text) -> HardwareConfig:
     """Load a hardware configuration, applying defaults for omitted fields."""
-    data = _load_json(path_or_text)
-    _check_version(data, "")
-    _reject_unknown(data, _HW_FIELDS, "")
-    defaults = HardwareConfig()
-
-    dac_rate = _require_number(
-        data.get("dac_sample_rate", defaults.dac_sample_rate), "dac_sample_rate", positive=True
-    )
-    dsp_clock = _require_number(
-        data.get("dsp_clock", defaults.dsp_clock), "dsp_clock", positive=True
-    )
+    data = _load_config(path_or_text, HardwareConfig)
+    values = {
+        name: _require_number(data.get(name, getattr(HardwareConfig, name)), name, positive=True)
+        for name in ("dac_sample_rate", "dsp_clock")
+    }
+    dac_rate, dsp_clock = values["dac_sample_rate"], values["dsp_clock"]
     ratio = dac_rate / dsp_clock
     if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
         raise ConfigError(
@@ -474,41 +463,18 @@ def load_hardware_config(path_or_text) -> HardwareConfig:
             path="dac_sample_rate",
         )
 
-    n_up = _require_count(
-        data.get("n_processing_elements_up", defaults.n_processing_elements_up),
-        "n_processing_elements_up",
-    )
-    n_down = _require_count(
-        data.get("n_processing_elements_down", defaults.n_processing_elements_down),
-        "n_processing_elements_down",
-    )
-    n_pairs = _require_count(data.get("n_dac_pairs", defaults.n_dac_pairs), "n_dac_pairs")
-    if n_pairs > 4:
-        raise ConfigError(
-            f"n_dac_pairs {n_pairs} exceeds the 2-bit destination field (max 4)",
-            path="n_dac_pairs",
-        )
-    if n_up + n_down > 256:
-        raise ConfigError("element count exceeds the 8-bit element field", path="n_processing_elements_up")
-
-    env_depth = _require_count(
-        data.get("envelope_buffer_depth", defaults.envelope_buffer_depth),
-        "envelope_buffer_depth",
-    )
-    if env_depth > 4096:
-        raise ConfigError(
-            f"envelope_buffer_depth {env_depth} exceeds the 12-bit start field (max 4096)",
-            path="envelope_buffer_depth",
-        )
-    cmd_depth = _require_count(
-        data.get("command_buffer_depth", defaults.command_buffer_depth), "command_buffer_depth"
-    )
-    acc_depth = _require_count(
-        data.get("acc_buffer_depth", defaults.acc_buffer_depth), "acc_buffer_depth"
-    )
-    acq_depth = _require_count(
-        data.get("acq_buffer_depth", defaults.acq_buffer_depth), "acq_buffer_depth"
-    )
+    for name, default, maximum, reason in _HW_COUNTS:
+        value = values[name] = _require_count(data.get(name, default), name)
+        if value > maximum:
+            raise ConfigError(f"{name} {value} exceeds {reason} (max {maximum})", path=name)
+        if name == "n_dac_pairs":  # then the element count, as before
+            n_up, n_down = values["n_processing_elements_up"], values["n_processing_elements_down"]
+            if n_up + n_down > 256:
+                raise ConfigError(
+                    "element count exceeds the 8-bit element field",
+                    path="n_processing_elements_up",
+                )
+    n_pairs = values["n_dac_pairs"]
 
     raw_map = data.get("channel_map", {})
     if not isinstance(raw_map, dict):
@@ -518,10 +484,7 @@ def load_hardware_config(path_or_text) -> HardwareConfig:
         where = f"channel_map.{name}"
         if not isinstance(entry, dict):
             raise ConfigError("expected an object", path=where)
-        _reject_unknown(entry, {"element", "destination", "direction"}, where + ".")
-        for f in ("element", "destination", "direction"):
-            if f not in entry:
-                raise ConfigError("missing field", path=f"{where}.{f}")
+        _check_fields(entry, ChannelAssignment, where + ".")
         element = _require_count(entry["element"], f"{where}.element", minimum=0)
         destination = _require_count(entry["destination"], f"{where}.destination", minimum=0)
         direction = entry["direction"]
@@ -544,36 +507,23 @@ def load_hardware_config(path_or_text) -> HardwareConfig:
         channel_map[name] = ChannelAssignment(
             element=element, destination=destination, direction=direction
         )
-
-    return HardwareConfig(
-        dac_sample_rate=dac_rate,
-        dsp_clock=dsp_clock,
-        n_processing_elements_up=n_up,
-        n_processing_elements_down=n_down,
-        n_dac_pairs=n_pairs,
-        channel_map=channel_map,
-        envelope_buffer_depth=env_depth,
-        command_buffer_depth=cmd_depth,
-        acc_buffer_depth=acc_depth,
-        acq_buffer_depth=acq_depth,
-    )
+    return HardwareConfig(channel_map=channel_map, **values)
 
 
-def standard_channel_map(qubit_names, n_up=16, n_down=4, n_pairs=4, readout_pair=None):
+def standard_channel_map(qubit_names, n_up=HardwareConfig.n_processing_elements_up):
     """Conventional wiring for a small chip: one drive and one readout
     drive element per qubit, multiplexed readout capture on one pair.
 
     Qubit i gets ``<q>.qdrv`` on up element i (pair i mod the non-readout
     pairs), ``<q>.rdrv`` on up element n_qubits + i, and ``<q>.read`` on
-    down element n_up + i.  All readout channels share ``readout_pair``
-    (default: the last pair).
+    down element n_up + i.  All readout channels share the last pair.
+    The element and pair counts are ``HardwareConfig``'s defaults.
     """
     names = list(qubit_names)
-    if 2 * len(names) > n_up or len(names) > n_down:
+    if 2 * len(names) > n_up or len(names) > HardwareConfig.n_processing_elements_down:
         raise ConfigError("too many qubits for the element counts")
-    if readout_pair is None:
-        readout_pair = n_pairs - 1
-    drive_pairs = max(n_pairs - 1, 1)
+    readout_pair = HardwareConfig.n_dac_pairs - 1
+    drive_pairs = max(readout_pair, 1)
     channel_map = {}
     for i, q in enumerate(names):
         channel_map[f"{q}.qdrv"] = ChannelAssignment(i, i % drive_pairs, UP)

@@ -119,16 +119,13 @@ def encode(fields: CommandFields) -> int:
     )
 
 
-def decode(word: int, strict: bool = True) -> CommandFields:
-    """Unpack a 128-bit integer into its fields.
-
-    In strict mode a nonzero reserved field is rejected; otherwise the
-    reserved bits are silently discarded.
-    """
+def decode(word: int) -> CommandFields:
+    """Unpack a 128-bit integer into its fields; nonzero reserved bits
+    are rejected."""
     if not 0 <= word < (1 << COMMAND_BITS):
         raise EncodingError(f"command word does not fit {COMMAND_BITS} bits")
-    if strict and word >> 97:
-        raise EncodingError("nonzero reserved bits in strict decode")
+    if word >> 97:
+        raise EncodingError("nonzero reserved bits in a command word")
     return CommandFields._make((
         word & 0xFFFFFF,  # trig_t
         word >> 58 & 0xFFF,  # start

@@ -47,7 +47,8 @@ from .chipcfg import (
     load_hardware_config,
     parse_envelope,
     parse_phase,
-    _load_json,
+    _field_names,
+    _load_config,
 )
 from .cmdcodec import CommandFields
 from .dspsim import ProgramImage, Simulator
@@ -65,9 +66,17 @@ def _snap(value):
     return value
 
 
+def _scaled(t, rate, what):
+    """``t`` seconds at ``rate`` per second; CompileError unless finite."""
+    value = t * rate
+    if not math.isfinite(value):
+        raise CompileError(f"{what} of {t} s is out of range")
+    return value
+
+
 def _to_cycles(t, dsp_clock, what):
     """Convert seconds to an exact integer cycle count or fail."""
-    cycles = _snap(t * dsp_clock)
+    cycles = _snap(_scaled(t, dsp_clock, what))
     if cycles != int(cycles):
         raise CompileError(
             f"{what} of {t} s is not aligned to the {1.0 / dsp_clock} s DSP cycle"
@@ -77,7 +86,7 @@ def _to_cycles(t, dsp_clock, what):
 
 def _ceil_samples(twidth, sample_rate):
     """Pulse length in DAC samples, rounded up (tolerantly)."""
-    exact = _snap(twidth * sample_rate)
+    exact = _snap(_scaled(twidth, sample_rate, "pulse width"))
     return int(math.ceil(exact))
 
 
@@ -107,10 +116,16 @@ class Circuit:
         object.__setattr__(self, "ops", tuple(self.ops))
 
 
-def load_circuit(path_or_text) -> Circuit:
-    """Parse the JSON circuit form.
+# The keys of a gate entry are GateOp's fields, "gate" naming its name;
+# those of a virtual_z rotation are VirtualZ's.
+_GATE_KEYS = frozenset("gate" if f == "name" else f for f in _field_names(GateOp))
+_VIRTUAL_Z_KEYS = frozenset(_field_names(VirtualZ))
 
-    Each entry is either a gate application::
+
+def load_circuit(path_or_text) -> Circuit:
+    """Parse the JSON circuit form: ``ops`` and an optional ``version``.
+
+    Each entry of ``ops`` is either a gate application::
 
         {"gate": "Y180", "qubits": ["Q6"]}
 
@@ -119,10 +134,7 @@ def load_circuit(path_or_text) -> Circuit:
 
         {"virtual_z": {"qubit": "Q6", "phase": "pi/2"}}
     """
-    data = _load_json(path_or_text)
-    version = data.get("version", 1)
-    if version != 1:
-        raise ConfigError(f"unknown schema version {version!r}", path="version")
+    data = _load_config(path_or_text, Circuit)
     raw_ops = data.get("ops")
     if not isinstance(raw_ops, list):
         raise ConfigError("expected a list", path="ops")
@@ -135,7 +147,7 @@ def load_circuit(path_or_text) -> Circuit:
             if set(entry) != {"virtual_z"}:
                 raise ConfigError("virtual_z takes no other fields", path=where)
             vz = entry["virtual_z"]
-            if not isinstance(vz, dict) or set(vz) != {"qubit", "phase"}:
+            if not isinstance(vz, dict) or set(vz) != _VIRTUAL_Z_KEYS:
                 raise ConfigError("virtual_z needs exactly qubit and phase", path=where)
             ops.append(
                 VirtualZ(qubit=str(vz["qubit"]), phase=parse_phase(vz["phase"], where))
@@ -143,7 +155,7 @@ def load_circuit(path_or_text) -> Circuit:
             continue
         if "gate" not in entry:
             raise ConfigError("expected a gate or virtual_z entry", path=where)
-        unknown = set(entry) - {"gate", "qubits", "start_time", "modify"}
+        unknown = set(entry) - _GATE_KEYS
         if unknown:
             raise ConfigError(f"unknown fields {sorted(unknown)}", path=where)
         qubits = entry.get("qubits", [])
@@ -154,6 +166,8 @@ def load_circuit(path_or_text) -> Circuit:
             isinstance(start_time, bool) or not isinstance(start_time, (int, float))
         ):
             raise ConfigError("start_time must be a number", path=where)
+        if start_time is not None and not math.isfinite(start_time):
+            raise ConfigError("start_time must be finite", path=where)
         modify = entry.get("modify")
         if modify is not None and not isinstance(modify, dict):
             raise ConfigError("modify must be an object", path=where)
@@ -214,15 +228,16 @@ def schedule(circuit: Circuit, gates: GatePulseSpec, hw: HardwareConfig) -> Sche
         name = resolve_gate_name(op, gates)
         width = None
         if op.modify and "twidth" in op.modify:
-            width = float(op.modify["twidth"])
+            width = _override_number(op.modify, "twidth", f"gate {name!r}")
         dur = durations.get((name, width))
         if dur is None:
             # Overridden width stretches the footprint too.
             if width is None:
                 duration_s = gates.duration(name)
             else:
-                duration_s = max(p.t0 for p in gates.pulses(name)) + width
-            dur = durations[name, width] = max(1, math.ceil(_snap(duration_s * hw.dsp_clock)))
+                duration_s = max((p.t0 for p in gates.pulses(name)), default=0.0) + width
+            cycles = _scaled(duration_s, hw.dsp_clock, f"gate {name!r}: duration")
+            dur = durations[name, width] = max(1, math.ceil(_snap(cycles)))
         ready = max((frontier.get(q, 0) for q in op.qubits), default=0)
         if op.start_time is None:
             start = ready
@@ -263,6 +278,14 @@ class TimePulse:
 _OVERRIDE_KEYS = {"amp", "fcarrier", "pcarrier", "twidth", "env_params", "env"}
 
 
+def _override_number(modify, key, where):
+    value = modify[key]
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise CompileError(f"{where}: {key} override must be a number, got {value!r}") from None
+
+
 def _apply_modify(pulse, modify, chip, where):
     if not modify:
         return pulse
@@ -271,7 +294,7 @@ def _apply_modify(pulse, modify, chip, where):
         raise CompileError(f"{where}: unknown override fields {sorted(unknown)}")
     changes = {}
     if "amp" in modify:
-        amp = float(modify["amp"])
+        amp = _override_number(modify, "amp", where)
         if not 0 <= amp <= 1:
             raise CompileError(f"{where}: amp override {amp} outside [0, 1]")
         changes["amp"] = amp
@@ -280,13 +303,15 @@ def _apply_modify(pulse, modify, chip, where):
     if "pcarrier" in modify:
         changes["pcarrier"] = parse_phase(modify["pcarrier"], where)
     if "twidth" in modify:
-        width = float(modify["twidth"])
+        width = _override_number(modify, "twidth", where)
         if width <= 0:
             raise CompileError(f"{where}: twidth override must be positive")
         changes["twidth"] = width
     if "env" in modify:
         changes["env"] = parse_envelope(modify["env"], where)
     elif "env_params" in modify:
+        if not isinstance(modify["env_params"], dict):
+            raise CompileError(f"{where}: env_params override must be an object")
         merged = dict(pulse.env.params)
         merged.update(modify["env_params"])
         changes["env"] = EnvelopeSpec(
@@ -788,10 +813,9 @@ def compile_circuit(
     )
 
 
-def simulate_program(program: CompiledProgram, wiring=None, shots=1, acq=None, seed=None, **kw):
+def simulate_program(program: CompiledProgram, wiring=None, shots=1, acq=None, seed=None):
     """Run a compiled program on the local signal-path simulator."""
-    sim = Simulator(program.hw, wiring=wiring, **kw)
-    return sim.run(program.image, shots=shots, acq=acq, seed=seed)
+    return Simulator(program.hw, wiring=wiring).run(program.image, shots=shots, acq=acq, seed=seed)
 
 
 def program_waveform(program: CompiledProgram) -> dict:

@@ -102,6 +102,8 @@ REG_ENVELOPE_DEPTH = 7  # read-only: envelope words per up element
 N_CONTROL_REGS = 8
 
 _ACQ_TAPS = ("adc", "dac", "dlo")
+_REPLAY_CACHE_SIZE = 1024  # replies the server keeps for retransmitted requests
+_MAX_POLLS = 100_000  # long-polled STATUS requests before a client gives up
 
 REGION_WORD_SIZE = {
     REGION_COMMAND: cmdcodec.COMMAND_BYTES,
@@ -275,7 +277,7 @@ class DeviceServer:
     ``qubicforge.device`` logger.
     """
 
-    def __init__(self, hw, wiring=None, host="127.0.0.1", port=0, seed=None, cache_size=1024):
+    def __init__(self, hw, wiring=None, host="127.0.0.1", port=0, seed=None):
         self.hw = hw
         self.sim = Simulator(hw, wiring=wiring)
         self.seed = seed
@@ -286,7 +288,6 @@ class DeviceServer:
         self._lock = threading.RLock()
         self._run_ended = threading.Condition(self._lock)
         self._cache = OrderedDict()
-        self._cache_size = cache_size
         self._stop = threading.Event()
         self._thread = None
         self._run_thread = None
@@ -365,7 +366,7 @@ class DeviceServer:
             reply = self._execute(request)
             blob = encode_packet(reply)
             self._cache[request.seq] = blob
-            while len(self._cache) > self._cache_size:
+            while len(self._cache) > _REPLAY_CACHE_SIZE:
                 self._cache.popitem(last=False)
             return blob
 
@@ -725,14 +726,14 @@ class DeviceClient:
         running, done, faults = struct.unpack(">III", reply.payload)
         return bool(running), done, faults
 
-    def wait(self, max_polls=100_000):
+    def wait(self):
         """Long-poll STATUS until the run ends; (shots, faults).
 
         Each STATUS waits on the device for up to half the client
         timeout, so a reply is due well before the client retransmits.
         """
         budget = max(1, round(self.timeout * 500))
-        for _ in range(max_polls):
+        for _ in range(_MAX_POLLS):
             running, done, faults = self.status(budget)
             if not running:
                 return done, faults
@@ -768,14 +769,6 @@ class DeviceClient:
         )
 
 
-def connect(host, port, timeout=0.1, retries=3, lossy=None) -> DeviceClient:
-    """Open a client to a device at host:port.
-
-    ``lossy`` optionally holds (loss, dup, reorder, seed) to wrap the
-    link in the fault-injection transport.
-    """
-    transport = UdpTransport((host, port))
-    if lossy is not None:
-        loss, dup, reorder, seed = lossy
-        transport = LossyTransport(transport, loss=loss, dup=dup, reorder=reorder, seed=seed)
-    return DeviceClient(transport, timeout=timeout, retries=retries)
+def connect(host, port, timeout=0.1, retries=3) -> DeviceClient:
+    """Open a client to a device at host:port."""
+    return DeviceClient(UdpTransport((host, port)), timeout=timeout, retries=retries)

@@ -338,17 +338,20 @@ class External:
     index to an (n_samples, 2) integer array for the whole shot.  It is
     invoked once per shot at the first ADC read; DAC content written by
     commands that trigger later in the same shot is not visible to it.
+    Each shot has its own ``rng``, so the streams are kept for that
+    ``rng`` object: a later run's shot of the same index calls ``fn``
+    again.
     """
 
     def __init__(self, fn):
         self.fn = fn
-        self._cache_shot = None
+        self._cache_rng = None
         self._cache = None
 
     def read(self, shot, pair, lo, hi, dac_reader, rng):
-        if self._cache_shot != shot:
+        if self._cache_rng is not rng:
             self._cache = self.fn(shot, dac_reader, rng)
-            self._cache_shot = shot
+            self._cache_rng = rng
         streams = self._cache
         if pair not in streams:
             return np.zeros((hi - lo, 2), dtype=np.int64)

@@ -93,7 +93,7 @@ def _ridge(cov: np.ndarray) -> np.ndarray:
     return cov + RIDGE * np.trace(cov) * np.eye(2)
 
 
-def gmm_fit(iq, k: int = 2, seed=0, max_iter: int = MAX_ITER, tol: float = LL_TOL):
+def gmm_fit(iq, k: int = 2, seed=0):
     """Fit a k-component Gaussian mixture to IQ shots."""
     x = _features(iq)
     n = len(x)
@@ -114,7 +114,7 @@ def gmm_fit(iq, k: int = 2, seed=0, max_iter: int = MAX_ITER, tol: float = LL_TO
 
     mixture = GaussianMixture(means, covariances, weights, -np.inf, 0)
     prev_ll = -np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         lj = mixture._log_joint(x)
         peak = lj.max(axis=1, keepdims=True)
         norm = peak[:, 0] + np.log(np.exp(lj - peak).sum(axis=1))
@@ -130,7 +130,7 @@ def gmm_fit(iq, k: int = 2, seed=0, max_iter: int = MAX_ITER, tol: float = LL_TO
             covariances[j] = _ridge(cov)
         weights = nk / nk.sum()
         mixture = GaussianMixture(means, covariances, weights, ll, it)
-        if abs(ll - prev_ll) < tol:
+        if abs(ll - prev_ll) < LL_TOL:
             break
         prev_ll = ll
     return mixture

@@ -2,12 +2,16 @@
 
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
 from qubicforge import ConfigError
 from qubicforge.chipcfg import (
     ChannelAssignment,
+    ChipConfig,
+    GatePulseSpec,
+    HardwareConfig,
     load_chip_config,
     load_gate_spec,
     load_hardware_config,
@@ -254,3 +258,83 @@ class TestHardwareConfig:
         hw_json = {"channel_map": {k: vars(v) for k, v in cmap.items()}}
         hw = load_hardware_config(json.dumps(hw_json))
         assert hw.channel("Q6.qdrv").element == 0
+
+
+def hardware_error(**fields_):
+    with pytest.raises(ConfigError) as info:
+        load_hardware_config(json.dumps(fields_))
+    return str(info.value)
+
+
+class TestSchema:
+    def test_unknown_key_before_missing_fields(self):
+        # the first unknown key in data order, then missing fields in field order
+        pulse = {"bogus": 1, "dest": "Q6.qdrv", "env": {"kind": "square"}, "late": 2}
+        doc = json.dumps({"gates": {"G": [pulse]}})
+        chip = load_chip_config(json.dumps(CHIP))
+        with pytest.raises(ConfigError, match=r"^gates\.G\[0\]\.bogus: unknown field$"):
+            load_gate_spec(doc, chip)
+        del pulse["bogus"], pulse["late"]
+        with pytest.raises(ConfigError, match=r"^gates\.G\[0\]\.twidth: missing field$"):
+            load_gate_spec(json.dumps({"gates": {"G": [pulse]}}), chip)
+
+    def test_top_level_keys_are_version_and_fields(self):
+        with pytest.raises(ConfigError, match=r"^gate: unknown field$"):
+            load_gate_spec(json.dumps({"version": 1, "gate": {}}), load_chip_config("{}"))
+        with pytest.raises(ConfigError, match=r"^qubits\.Q6\.readout_freq: missing field$"):
+            load_chip_config(json.dumps({"qubits": {"Q6": {"drive_freq": 1.0}}}))
+
+    def test_gate_without_pulses_lasts_no_time(self):
+        spec = load_gate_spec(json.dumps({"gates": {"G": []}}), load_chip_config("{}"))
+        assert spec.duration("G") == 0.0
+
+    def test_records_hold_only_their_fields(self):
+        # their JSON objects are copies of their __dict__
+        chip = load_chip_config(json.dumps(CHIP))
+        spec = load_gate_spec(json.dumps(GATES), chip)
+        hw = HardwareConfig(channel_map=standard_channel_map(["Q6"]))
+        for record in (chip.qubits["Q6"], spec.gates["Q6Y180"][0], hw, hw.channel("Q6.qdrv")):
+            assert list(vars(record)) == [f.name for f in fields(record)]
+
+    def test_hardware_count_checks_keep_their_order(self):
+        assert hardware_error(n_dac_pairs=5, n_processing_elements_up=300) == (
+            "n_dac_pairs: n_dac_pairs 5 exceeds the 2-bit destination field (max 4)"
+        )
+        assert hardware_error(n_processing_elements_up=300, envelope_buffer_depth=5000) == (
+            "n_processing_elements_up: element count exceeds the 8-bit element field"
+        )
+        assert hardware_error(envelope_buffer_depth=5000, acc_buffer_depth=0) == (
+            "envelope_buffer_depth: envelope_buffer_depth 5000 exceeds the 12-bit start field"
+            " (max 4096)"
+        )
+        assert hardware_error(command_buffer_depth=1.5) == (
+            "command_buffer_depth: expected an integer, got 1.5"
+        )
+
+
+class TestFrozen:
+    def test_mappings_are_read_only(self):
+        chip = load_chip_config(json.dumps({**CHIP, "metadata": {"by": "me"}}))
+        spec = load_gate_spec(json.dumps(GATES), chip)
+        hw = load_hardware_config(json.dumps({"channel_map": {}}))
+        for mapping in (chip.qubits, chip.metadata, spec.gates, hw.channel_map):
+            with pytest.raises(TypeError):
+                mapping["new"] = None
+
+    def test_built_from_a_copy(self):
+        channel_map = standard_channel_map(["Q6"])
+        hw = HardwareConfig(channel_map=channel_map)
+        channel_map.clear()
+        assert set(hw.channel_map) == {"Q6.qdrv", "Q6.rdrv", "Q6.read"}
+        assert ChipConfig() == ChipConfig(qubits={}, metadata={})
+        assert GatePulseSpec().to_json_dict() == {"version": 1, "gates": {}}
+
+    def test_json_unchanged(self):
+        chip = load_chip_config(json.dumps({**CHIP, "metadata": {"by": "me"}}))
+        assert json.loads(chip.to_json()) == {"version": 1, **CHIP, "metadata": {"by": "me"}}
+        hw = HardwareConfig(channel_map=standard_channel_map(["Q6"]))
+        assert json.loads(hw.to_json())["channel_map"]["Q6.read"] == {
+            "element": 16,
+            "destination": 3,
+            "direction": "down",
+        }

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, file outputs, path equivalence."""
 
+import copy
 import json
 import os
 import re
@@ -8,7 +9,10 @@ import sys
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qubicforge.chipcfg import HardwareConfig, standard_channel_map
 from qubicforge.cli import main
 from qubicforge.compiler import CompiledProgram
 
@@ -315,3 +319,158 @@ class TestReports:
             )
             written.append((out / "rc.tvd.csv").read_bytes())
         assert written[0] == written[1]
+
+
+# ---------------------------------------------------------------------------
+# Malformed inputs
+
+
+# Valid documents that reach every kind of field: versions, metadata,
+# custom samples, every override and a pinned start time.
+FUZZ_DOCS = {
+    "--chip": {**copy.deepcopy(CHIP), "version": 1, "metadata": {"by": "test"}},
+    "--gates": {
+        "version": 1,
+        "gates": {
+            **copy.deepcopy(GATES["gates"]),
+            "Q6X90": [
+                {
+                    "dest": "Q6.qdrv",
+                    "twidth": 4e-9,
+                    "fcarrier": 5.5e9,
+                    "amp": 0.5,
+                    "env": {"kind": "custom_samples", "samples": [[0.5, 0], 1, [0, 0.5], 0.25]},
+                }
+            ],
+        },
+    },
+    "--hardware": HardwareConfig(channel_map=standard_channel_map(["Q6"])).to_json_dict(),
+    "--circuit": {
+        "version": 1,
+        "ops": [
+            {
+                "gate": "Y180",
+                "qubits": ["Q6"],
+                "start_time": 0.0,
+                "modify": {
+                    "amp": 0.5,
+                    "twidth": 64e-9,
+                    "env_params": {"alpha": 0.3},
+                    "pcarrier": "pi/4",
+                    "fcarrier": "Q6.freq",
+                },
+            },
+            {"virtual_z": {"qubit": "Q6", "phase": "pi/2"}},
+            {"gate": "X90", "qubits": ["Q6"]},
+            {"gate": "read", "qubits": ["Q6"]},
+        ],
+    },
+}
+WRONG_VALUES = [None, True, "x", [1], {}, 5, -1, 0, 1e300, -1e300, float("nan"), float("inf")]
+
+
+def _paths(node, path=()):
+    """Every location in a JSON document, the root first."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_docs(draw):
+    """The fuzz documents with one to three keys dropped, keys added or
+    values swapped for a wrong type, NaN or a huge number."""
+    docs = copy.deepcopy(FUZZ_DOCS)
+    for _ in range(draw(st.integers(1, 3))):
+        flag = draw(st.sampled_from(sorted(docs)))
+        path = draw(st.sampled_from(list(_paths(docs[flag]))))
+        kind = draw(st.sampled_from(["drop", "add", "swap"]))
+        value = copy.deepcopy(draw(st.sampled_from(WRONG_VALUES)))
+        parent, node = None, docs[flag]
+        for key in path:
+            parent, node = node, node[key]
+        if kind == "add" and isinstance(node, dict):
+            node["bogus"] = value
+        elif kind == "drop" and parent is not None:
+            del parent[path[-1]]
+        elif parent is None:
+            docs[flag] = value
+        else:
+            parent[path[-1]] = value
+    return docs
+
+
+def dump_tp_argv(docs):
+    """dump-tp with each document given as JSON text; it writes no file."""
+    return ["dump-tp", *(f"{flag}={json.dumps(doc)}" for flag, doc in docs.items())]
+
+
+class TestMalformedInputs:
+    @given(docs=mutated_docs())
+    @settings(max_examples=300, deadline=None)
+    def test_dump_tp_exits_with_a_documented_code(self, docs):
+        assert main(dump_tp_argv(docs)) in range(6)
+
+    @pytest.mark.parametrize(
+        "flag, edit, code",
+        [
+            pytest.param(
+                "--gates",
+                lambda d: d["gates"]["Q6X90"][0]["env"].update(samples=5),
+                2,
+                id="samples-number",
+            ),
+            pytest.param(
+                "--gates",
+                lambda d: d["gates"]["Q6X90"][0]["env"].update(samples=[[1, "a"]]),
+                2,
+                id="samples-text",
+            ),
+            pytest.param(
+                "--circuit", lambda d: d["ops"][0]["modify"].update(amp="x"), 3, id="amp-text"
+            ),
+            pytest.param(
+                "--circuit",
+                lambda d: d["ops"][0]["modify"].update(twidth="x"),
+                3,
+                id="twidth-text",
+            ),
+            pytest.param(
+                "--circuit",
+                lambda d: d["ops"][0]["modify"].update(twidth=[1]),
+                3,
+                id="twidth-list",
+            ),
+            pytest.param(
+                "--circuit",
+                lambda d: d["ops"][0]["modify"].update(twidth=1e300),
+                3,
+                id="twidth-huge",
+            ),
+            pytest.param(
+                "--circuit",
+                lambda d: d["ops"][0]["modify"].update(env_params=5),
+                3,
+                id="env-params-number",
+            ),
+            pytest.param(
+                "--circuit",
+                lambda d: d["ops"][0].update(start_time=float("nan")),
+                2,
+                id="start-time-nan",
+            ),
+            pytest.param(
+                "--circuit", lambda d: d["ops"][0].update(start_time=1e300), 3, id="start-time-huge"
+            ),
+            pytest.param("--circuit", lambda d: d.update(bogus=1), 2, id="circuit-unknown-key"),
+        ],
+    )
+    def test_malformed_field_is_a_package_error(self, flag, edit, code, capsys):
+        docs = copy.deepcopy(FUZZ_DOCS)
+        edit(docs[flag])
+        assert main(dump_tp_argv(docs)) == code
+        assert "error" in capsys.readouterr().err

@@ -75,8 +75,6 @@ class TestLayout:
         assert encode(MAXED) < (1 << 97)
         with pytest.raises(EncodingError):
             decode(1 << 97)
-        # Permissive mode tolerates the reserved bits instead.
-        assert decode(1 << 97, strict=False) == CommandFields()
 
     def test_field_overflow_rejected(self):
         with pytest.raises(EncodingError):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import types
 import zlib
 
@@ -605,6 +606,41 @@ class TestCircuitJson:
             load_circuit(json.dumps({"ops": "Y180"}))
         with pytest.raises(ConfigError):
             load_circuit(json.dumps({"ops": [{"virtual_z": {"qubit": "Q6"}}]}))
+
+    def test_unknown_top_level_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"^bogus: unknown field$"):
+            load_circuit(json.dumps({"ops": [{"gate": "Y180", "qubits": ["Q6"]}], "bogus": 1}))
+        circ = load_circuit(json.dumps({"version": 1, "ops": []}))
+        assert circ.ops == ()
+
+    def test_non_finite_start_time_rejected(self):
+        op = {"gate": "Y180", "qubits": ["Q6"], "start_time": float("nan")}
+        with pytest.raises(ConfigError, match=r"^ops\[0\]: start_time must be finite$"):
+            load_circuit(json.dumps({"ops": [op]}))
+
+    @pytest.mark.parametrize(
+        "modify, message",
+        [
+            ({"amp": "x"}, "amp override must be a number, got 'x'"),
+            ({"twidth": [1]}, "twidth override must be a number, got [1]"),
+            ({"twidth": 1e300}, "duration of 1e+300 s is out of range"),
+            ({"env_params": 5}, "env_params override must be an object"),
+        ],
+    )
+    def test_malformed_override_is_a_compile_error(self, modify, message):
+        circuit = Circuit([GateOp("Y180", ("Q6",), modify=modify)])
+        with pytest.raises(CompileError, match=re.escape(f"gate 'Q6Y180': {message}")):
+            compile_circuit(circuit, CHIP, GATES, HW)
+
+    def test_gate_without_pulses(self):
+        gates = load_gate_spec(json.dumps({"gates": {"Q6I": []}}), CHIP)
+        prog = compile_circuit(Circuit([GateOp("I", ("Q6",))]), CHIP, gates, HW)
+        assert prog.commands == () and prog.repeat_cycles == 1
+
+    def test_start_time_out_of_range(self):
+        circuit = Circuit([GateOp("Y180", ("Q6",), start_time=1e300)])
+        with pytest.raises(CompileError, match=r"^start_time of 1e\+300 s is out of range$"):
+            compile_circuit(circuit, CHIP, GATES, HW)
 
 
 def reseal(body):

@@ -603,6 +603,26 @@ class TestExecution:
             counts.append(client.run_program(prog, 2).fault_count)
         assert counts == [faults] * 3
 
+    def test_external_wiring_reads_each_start_afresh(self):
+        # shot 0 of a second START sees its own DAC, not the first START's
+        quiet, loud = (
+            image_program(
+                ProgramImage(
+                    commands=read_window_image(64).commands,
+                    envelopes={0: (level << 16,) * 64},
+                    repeat_cycles=32,
+                )
+            )
+            for level in (0x1000, 0x4000)
+        )
+        with DeviceServer(HW, wiring=noisy_loopback(), seed=7) as srv:
+            with make_client(srv) as client:
+                remote = [client.run_program(program, 1).acc for program in (quiet, loud)]
+        for program, acc in zip((quiet, loud), remote):
+            local = Simulator(HW, wiring=noisy_loopback()).run(program.image, seed=7)
+            assert set(acc) == set(local.acc)
+            assert all(np.array_equal(acc[e], local.acc[e]) for e in local.acc)
+
     @given(
         faulty=st.booleans(),
         shots=st.integers(0, 6),

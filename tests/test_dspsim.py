@@ -547,6 +547,19 @@ class TestAcquisition:
         res = Simulator(HW, wiring=External(fn)).run(image, acq=AcqConfig(unit=0, length=4))
         assert res.acq.tolist() == [[32767, -32768], [-32768, 32767], [5, -5], [0, 0]]
 
+    def test_external_streams_drawn_again_each_run(self):
+        # a reused simulator calls fn with each run's own shot streams
+        def fn(shot, dac_reader, rng):
+            return {0: rng.integers(-1000, 1000, size=(8, 2))}
+
+        image = ProgramImage(commands=[], envelopes={}, repeat_cycles=32)
+        acq = AcqConfig(unit=0, length=8)
+        sim = Simulator(HW, wiring=External(fn))
+        first, second = (sim.run(image, acq=acq, seed=seed).acq for seed in (1, 2))
+        fresh = Simulator(HW, wiring=External(fn)).run(image, acq=acq, seed=2).acq
+        assert np.array_equal(second, fresh)
+        assert not np.array_equal(first, second)
+
     def test_dlo_tap_zero_outside_window(self):
         image = ProgramImage(commands=[down_cmd(trig_t=4, length=32)], envelopes={}, repeat_cycles=32)
         res = Simulator(HW).run(image, acq=AcqConfig(tap="dlo", unit=16, length=64))
