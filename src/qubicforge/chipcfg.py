@@ -31,7 +31,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 
-from .envgen import EnvelopeSpec
+from .envgen import EnvelopeSpec, _to_float
 from .errors import ConfigError
 
 SCHEMA_VERSION = 1
@@ -100,7 +100,7 @@ def _load_config(path_or_text, cls):
 def _require_number(value, path, positive=False, nonnegative=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"expected a number, got {value!r}", path=path)
-    if not math.isfinite(value):
+    if not math.isfinite(_to_float(value)):
         raise ConfigError("value must be finite", path=path)
     if positive and value <= 0:
         raise ConfigError(f"value must be strictly positive, got {value}", path=path)
@@ -126,10 +126,6 @@ def parse_phase(value, path="pcarrier"):
     if not isinstance(value, str):
         raise ConfigError(f"expected a phase, got {value!r}", path=path)
     text = value.replace("numpy.pi", "pi").replace("np.pi", "pi")
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError:
-        raise ConfigError(f"cannot parse phase expression {value!r}", path=path) from None
 
     def ev(node):
         if isinstance(node, ast.Expression):
@@ -156,7 +152,12 @@ def parse_phase(value, path="pcarrier"):
             return a / b
         raise ConfigError(f"unsupported phase expression {value!r}", path=path)
 
-    return ev(tree)
+    # the parser and ev recurse: a deeply nested expression exhausts the
+    # parser's stack (MemoryError) or the interpreter's (RecursionError)
+    try:
+        return ev(ast.parse(text, mode="eval"))
+    except (SyntaxError, MemoryError, RecursionError):
+        raise ConfigError(f"cannot parse phase expression {value!r}", path=path) from None
 
 
 class _Config:
@@ -318,7 +319,7 @@ def parse_envelope(data, path="env") -> EnvelopeSpec:
         pair = raw if isinstance(raw, (list, tuple)) else (raw, 0.0)
         if len(pair) != 2 or not all(isinstance(x, (int, float)) for x in pair):
             raise ConfigError("expected [re, im] or a number", path=f"{path}.samples[{k}]")
-        samples.append(complex(*pair))
+        samples.append(complex(*map(_to_float, pair)))
     try:
         return EnvelopeSpec(kind=kind, params=dict(params), samples=tuple(samples))
     except Exception as exc:

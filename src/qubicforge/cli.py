@@ -82,13 +82,7 @@ def _compile_from_args(args) -> CompiledProgram:
     chip, gates, hw = _load_stack(args)
     circuit = load_circuit(args.circuit)
     return compile_circuit(
-        circuit,
-        chip,
-        gates,
-        hw,
-        allocator=args.allocator,
-        dedup=not args.no_dedup,
-        repeat_time=args.repeat_time,
+        circuit, chip, gates, hw, allocator=args.allocator, repeat_time=args.repeat_time
     )
 
 
@@ -335,9 +329,6 @@ def _add_config_flags(p, require_circuit=True):
     )
     p.add_argument(
         "--allocator", choices=("optm", "runc"), default="optm", help="allocation mode"
-    )
-    p.add_argument(
-        "--no-dedup", action="store_true", help="disable envelope deduplication"
     )
     p.add_argument(
         "--repeat-time", type=float, default=None, help="shot repeat period in seconds"

@@ -12,15 +12,16 @@ steps, each with an inspectable intermediate form:
 3. ``lower_to_nv`` quantizes each TimePulse into a 128-bit command and
    allocates envelope memory, producing the raw buffers a device loads.
 
-Envelope allocation has two strategies.  The dynamic allocator ("optm")
-walks pulses in time order, shares identical stored envelopes, spills to
-another free element when a buffer fills, and validates element timing
-conflicts.  The static allocator ("runc") lays out every gate in the
-gate set up front (sorted by name), so every compilation against one
-gate set places each pulse at the same address and skips the timing
-checks; it still builds that layout on each call.  Parameter overrides
-that would alter a stored envelope are rejected there.  Both produce
-bit-identical output waveforms for any circuit they both accept.
+Envelope allocation has two strategies over one envelope store, which
+always shares identical words on an element.  The dynamic allocator
+("optm") walks pulses in time order, spills to another free element when
+a buffer fills, and validates element timing conflicts.  The static
+allocator ("runc") lays out every gate in the gate set up front (sorted
+by name), so every compilation against one gate set places each pulse at
+the same address and skips the timing checks; it still builds that
+layout on each call.  Parameter overrides that would alter a stored
+envelope are rejected there.  Both produce bit-identical output
+waveforms for any circuit they both accept.
 
 Packed envelope words are cached across compilations (a small LRU keyed
 by shape, sample count, amplitude and sample rate), and within one
@@ -52,7 +53,7 @@ from .chipcfg import (
 )
 from .cmdcodec import CommandFields
 from .dspsim import ProgramImage, Simulator
-from .envgen import Envelope, EnvelopeSpec, generate, pack
+from .envgen import Envelope, EnvelopeSpec, _to_float, generate, pack
 from .errors import CompileError, ConfigError
 
 _REL_TOL = 1e-6
@@ -166,7 +167,7 @@ def load_circuit(path_or_text) -> Circuit:
             isinstance(start_time, bool) or not isinstance(start_time, (int, float))
         ):
             raise ConfigError("start_time must be a number", path=where)
-        if start_time is not None and not math.isfinite(start_time):
+        if start_time is not None and not math.isfinite(_to_float(start_time)):
             raise ConfigError("start_time must be finite", path=where)
         modify = entry.get("modify")
         if modify is not None and not isinstance(modify, dict):
@@ -384,11 +385,6 @@ def _packed_words(shape, n_samples, amp, sample_rate):
     return pack(Envelope(envelope.samples * amp, envelope.dt)).words
 
 
-def _envelope_words(env: EnvelopeSpec, twidth: float, amp: float, sample_rate: float):
-    n = _ceil_samples(twidth, sample_rate)
-    return _packed_words(env.dedup_key(), n, amp, sample_rate)
-
-
 class _PulseLabel:
     """``pulse at <t> ns on <dest>``, formatted only when a message or a
     new layout region needs it."""
@@ -403,29 +399,46 @@ class _PulseLabel:
         return f"pulse at {self.tp.t * 1e9:.3f} ns on {self.tp.dest!r}{self.suffix}"
 
 
+class _EnvelopeMemory:
+    """Envelope words per up element; identical words on one element are
+    stored once and shared."""
+
+    def __init__(self, depth):
+        self.depth = depth
+        self.words = {}  # element -> list of stored words
+        self.regions = {}  # (element, words) -> start
+        self.layout = {}  # element -> list of (start, length, label)
+
+    def store(self, element, words, label):
+        """Start of ``words`` on ``element``, shared or newly stored;
+        None when the element lacks room for them."""
+        start = self.regions.get((element, words))
+        if start is None:
+            start = len(self.words.get(element, ()))
+            if start + len(words) > self.depth:
+                return None
+            self.words.setdefault(element, []).extend(words)
+            self.regions[element, words] = start
+            self.layout.setdefault(element, []).append((start, len(words), str(label)))
+        return start
+
+
 class _DynamicAllocator:
     """Greedy time-ordered allocation with sharing and spill.
 
-    Identical stored envelopes on an element share one region (unless
-    dedup is off).  When an element's buffer is full the pulse spills to
-    another up element that is free over the window, since the command's
+    When an element's buffer is full the pulse spills to another up
+    element that is free over the window, since the command's
     destination field, not its element, selects the DAC pair.
     """
 
     name = "optm"
 
-    def __init__(self, hw, dedup=True):
+    def __init__(self, hw):
         self.hw = hw
-        self.dedup = dedup
-        self.memory = {}  # element -> list of stored words
-        self.regions = {}  # (element, words) -> start
+        self.memory = _EnvelopeMemory(hw.envelope_buffer_depth)
         # element -> sorted list of (n0, n1).  No two reserved windows
         # overlap, so sorted by start they are sorted by end as well.
         self.busy = {}
-        self.layout = {}  # element -> list of (start, length, label)
-
-    def _has_room(self, element, n_words):
-        return len(self.memory.get(element, ())) + n_words <= self.hw.envelope_buffer_depth
 
     def _time_free(self, element, n0, n1):
         """No reserved window (lo, hi) has hi > n0 and lo < n1."""
@@ -433,47 +446,29 @@ class _DynamicAllocator:
         k = bisect.bisect_right(busy, n0, key=lambda window: window[1])
         return k == len(busy) or busy[k][0] >= n1
 
-    def _reserve_time(self, element, n0, n1, what):
+    def _require_free(self, element, n0, n1, what):
         if not self._time_free(element, n0, n1):
             raise CompileError(
                 f"{what}: element {element} is busy during samples [{n0}, {n1})"
             )
-        bisect.insort(self.busy.setdefault(element, []), (n0, n1))
 
     def place_up(self, element, words, n0, n1, label, source):
-        if not self._time_free(element, n0, n1):
-            raise CompileError(
-                f"{label}: element {element} is busy during samples [{n0}, {n1})"
-            )
-        start = self._store(element, words, n0, n1, label)
-        if start is not None:
-            return element, start
-        for cand in range(self.hw.n_processing_elements_up):
-            if cand != element and self._time_free(cand, n0, n1):
-                start = self._store(cand, words, n0, n1, label)
-                if start is not None:
-                    return cand, start
-        raise CompileError(f"{label}: envelope memory exhausted on every up element")
-
-    def _store(self, element, words, n0, n1, label):
-        """Start of ``words`` on ``element``, which is free over [n0, n1):
-        a shared region, or a new one; None when the memory lacks room."""
-        if self.dedup and (element, words) in self.regions:
-            start = self.regions[(element, words)]
-        elif self._has_room(element, len(words)):
-            mem = self.memory.setdefault(element, [])
-            start = len(mem)
-            mem.extend(words)
-            if self.dedup:
-                self.regions[(element, words)] = start
-            self.layout.setdefault(element, []).append((start, len(words), str(label)))
-        else:
-            return None
-        bisect.insort(self.busy.setdefault(element, []), (n0, n1))
-        return start
+        self._require_free(element, n0, n1, label)
+        cand, start = element, self.memory.store(element, words, label)
+        if start is None:
+            for cand in range(self.hw.n_processing_elements_up):
+                if cand != element and self._time_free(cand, n0, n1):
+                    start = self.memory.store(cand, words, label)
+                    if start is not None:
+                        break
+            else:
+                raise CompileError(f"{label}: envelope memory exhausted on every up element")
+        bisect.insort(self.busy.setdefault(cand, []), (n0, n1))
+        return cand, start
 
     def place_down(self, element, n0, n1, label):
-        self._reserve_time(element, n0, n1, label)
+        self._require_free(element, n0, n1, label)
+        bisect.insort(self.busy.setdefault(element, []), (n0, n1))
 
 
 class _StaticAllocator:
@@ -488,34 +483,24 @@ class _StaticAllocator:
     name = "runc"
 
     def __init__(self, hw, gates, chmap_lookup):
-        self.hw = hw
-        self.memory = {}  # element -> list of stored words
-        self.regions = {}  # (element, words) -> start
+        rate = hw.dac_sample_rate
+        self.memory = _EnvelopeMemory(hw.envelope_buffer_depth)
         self.by_source = {}  # (gate, pulse idx) -> (element, start, words)
-        self.layout = {}
         for name in sorted(gates.gates):
             for idx, pulse in enumerate(gates.pulses(name)):
                 ch = chmap_lookup(pulse.dest, f"gate {name!r}")
                 if ch.direction != "up":
                     continue
-                words = _envelope_words(
-                    pulse.env, pulse.twidth, pulse.amp, hw.dac_sample_rate
-                )
-                key = (ch.element, words)
-                if key in self.regions:
-                    start = self.regions[key]
-                else:
-                    mem = self.memory.setdefault(ch.element, [])
-                    start = len(mem)
-                    if start + len(words) > hw.envelope_buffer_depth:
-                        raise CompileError(
-                            f"gate {name!r}: static envelope layout exceeds "
-                            f"buffer depth on element {ch.element}"
-                        )
-                    mem.extend(words)
-                    self.regions[key] = start
-                    self.layout.setdefault(ch.element, []).append(
-                        (start, len(words), f"{name}[{idx}]")
+                # a pulse longer than the whole buffer is never generated
+                n = _ceil_samples(pulse.twidth, rate)
+                start = None
+                if n <= hw.envelope_buffer_depth:
+                    words = _packed_words(pulse.env.dedup_key(), n, pulse.amp, rate)
+                    start = self.memory.store(ch.element, words, f"{name}[{idx}]")
+                if start is None:
+                    raise CompileError(
+                        f"gate {name!r}: static envelope layout exceeds "
+                        f"buffer depth on element {ch.element}"
                     )
                 self.by_source[(name, idx)] = (ch.element, start, words)
 
@@ -679,9 +664,8 @@ _WORD_ORDER = operator.itemgetter(5, 0, 7, 3, 6, 1, 2, 4)
 def lower_to_nv(
     tp_list,
     hw: HardwareConfig,
+    gates: GatePulseSpec,
     allocator: str = "optm",
-    gates: GatePulseSpec = None,
-    dedup: bool = True,
     repeat_time: float = None,
 ):
     """Quantize TimePulses into commands and envelope buffers.
@@ -696,10 +680,8 @@ def lower_to_nv(
             raise CompileError(f"{what}: {exc}") from None
 
     if allocator == "optm":
-        alloc = _DynamicAllocator(hw, dedup=dedup)
+        alloc = _DynamicAllocator(hw)
     elif allocator == "runc":
-        if gates is None:
-            raise CompileError("the static allocator needs the gate set")
         alloc = _StaticAllocator(hw, gates, chmap_lookup)
     else:
         raise CompileError(f"unknown allocator {allocator!r}")
@@ -732,7 +714,7 @@ def lower_to_nv(
             phase_word = cmdcodec.phase_to_word(tp.pcarrier)
             words = None
             if ch.direction == "up":
-                words = _envelope_words(tp.env, tp.twidth, tp.amp, rate)
+                words = _packed_words(tp.env.dedup_key(), length, tp.amp, rate)
             shapes[key] = (ch, length, freq_word, words)
         else:
             _, length, freq_word, words = shape
@@ -778,8 +760,9 @@ def lower_to_nv(
                 f"({min_cycles} cycles)"
             )
 
-    envelopes = {e: tuple(mem) for e, mem in sorted(alloc.memory.items()) if mem}
-    layout = {e: tuple(v) for e, v in alloc.layout.items()}
+    memory = alloc.memory
+    envelopes = {e: tuple(words) for e, words in sorted(memory.words.items())}
+    layout = {e: tuple(v) for e, v in memory.layout.items()}
     return commands, envelopes, repeat_cycles, layout
 
 
@@ -789,14 +772,13 @@ def compile_circuit(
     gates: GatePulseSpec,
     hw: HardwareConfig,
     allocator: str = "optm",
-    dedup: bool = True,
     repeat_time: float = None,
 ) -> CompiledProgram:
     """Full pipeline: schedule, TimePulse lowering, command lowering."""
     scheduled = schedule(circuit, gates, hw)
     tp = lower_to_tp(scheduled, gates, chip, hw)
     commands, envelopes, repeat_cycles, layout = lower_to_nv(
-        tp, hw, allocator=allocator, gates=gates, dedup=dedup, repeat_time=repeat_time
+        tp, hw, gates, allocator=allocator, repeat_time=repeat_time
     )
     image = ProgramImage(
         commands=tuple(cmdcodec.encode(c) for c in commands),

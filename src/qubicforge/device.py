@@ -9,10 +9,12 @@ The CRC covers the header and payload.  Datagrams never exceed 8192
 bytes; larger transfers are chunked by the client.  The protocol is
 stop-and-wait: one request in flight, responses echo the request seq,
 and the client retransmits on timeout.  The server keeps a cache of
-recent responses keyed by seq, so a duplicated or retransmitted request
-is answered from the cache and never executed twice; a stale WRITE can
-therefore not corrupt memory after later writes.  Datagrams with a bad
-magic or CRC are dropped silently (counted, never answered).
+recent responses keyed by the sender's address and seq, so a duplicated
+or retransmitted request is answered from the cache and never executed
+twice; a stale WRITE can therefore not corrupt memory after later
+writes, and clients whose sequence numbers collide each get the reply
+to their own request.  Datagrams with a bad magic or CRC are dropped
+silently (counted, never answered).
 
 Regions:
 
@@ -352,20 +354,21 @@ class DeviceServer:
                 self.dropped += 1
                 logger.info("dropped datagram: %s", exc)
                 continue
-            response = self._respond(request)
+            response = self._respond(request, peer)
             try:
                 self.sock.sendto(response, peer)
             except OSError:
                 break
 
-    def _respond(self, request: Packet) -> bytes:
+    def _respond(self, request: Packet, peer) -> bytes:
+        key = (peer, request.seq)
         with self._lock:
-            cached = self._cache.get(request.seq)
+            cached = self._cache.get(key)
             if cached is not None:
                 return cached
             reply = self._execute(request)
             blob = encode_packet(reply)
-            self._cache[request.seq] = blob
+            self._cache[key] = blob
             while len(self._cache) > _REPLAY_CACHE_SIZE:
                 self._cache.popitem(last=False)
             return blob

@@ -52,6 +52,14 @@ _KIND_PARAMS = {
 _PARAM_DEFAULTS = {"sigma_fraction": 0.25, "alpha": 0.0, "edge_fraction": 0.25}
 
 
+def _to_float(value):
+    """``float(value)``, infinite for an integer beyond float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class EnvelopeSpec:
     """Declarative description of an envelope shape."""
@@ -67,7 +75,7 @@ class EnvelopeSpec:
         for name, value in self.params.items():
             if name not in allowed:
                 raise EnvelopeError(f"envelope kind {self.kind!r} takes no parameter {name!r}")
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            if not (isinstance(value, (int, float)) and math.isfinite(_to_float(value))):
                 raise EnvelopeError(f"envelope parameter {name!r} must be finite, got {value!r}")
         if self.kind == "custom_samples":
             if len(self.samples) == 0:

@@ -134,6 +134,11 @@ class TestPhaseParsing:
         with pytest.raises(ConfigError):
             parse_phase("pi ** 2")
 
+    @pytest.mark.parametrize("depth", [3000, 200000], ids=["recursion", "parser-stack"])
+    def test_deeply_nested_expression_rejected(self, depth):
+        with pytest.raises(ConfigError, match="cannot parse phase expression"):
+            parse_phase("-" * depth + "1")
+
 
 class TestGateSpec:
     def test_load_resolves_carriers(self):

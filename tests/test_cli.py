@@ -366,7 +366,11 @@ FUZZ_DOCS = {
         ],
     },
 }
-WRONG_VALUES = [None, True, "x", [1], {}, 5, -1, 0, 1e300, -1e300, float("nan"), float("inf")]
+# 10**400 and -10**400 are JSON integers beyond float range
+WRONG_VALUES = [
+    None, True, "x", [1], {}, 5, -1, 0, 1e300, -1e300, float("nan"), float("inf"),
+    10**400, -10**400,
+]
 
 
 def _paths(node, path=()):
@@ -467,6 +471,42 @@ class TestMalformedInputs:
                 "--circuit", lambda d: d["ops"][0].update(start_time=1e300), 3, id="start-time-huge"
             ),
             pytest.param("--circuit", lambda d: d.update(bogus=1), 2, id="circuit-unknown-key"),
+            pytest.param(
+                "--chip",
+                lambda d: d["qubits"]["Q6"].update(drive_freq=10**400),
+                2,
+                id="drive-freq-huge-int",
+            ),
+            pytest.param(
+                "--circuit",
+                lambda d: d["ops"][0].update(start_time=10**400),
+                2,
+                id="start-time-huge-int",
+            ),
+            pytest.param(
+                "--gates",
+                lambda d: d["gates"]["Q6X90"][0]["env"].update(samples=[[10**400, 0]]),
+                2,
+                id="sample-huge-int",
+            ),
+            pytest.param(
+                "--circuit",
+                lambda d: d["ops"][0]["modify"].update(env_params={"alpha": -(10**400)}),
+                3,
+                id="env-params-huge-int",
+            ),
+            pytest.param(
+                "--circuit",
+                lambda d: d["ops"][1]["virtual_z"].update(phase="-" * 3000 + "1"),
+                2,
+                id="phase-deep-recursion",
+            ),
+            pytest.param(
+                "--circuit",
+                lambda d: d["ops"][0]["modify"].update(pcarrier="-" * 200000 + "1"),
+                2,
+                id="phase-parser-stack",
+            ),
         ],
     )
     def test_malformed_field_is_a_package_error(self, flag, edit, code, capsys):
@@ -474,3 +514,56 @@ class TestMalformedInputs:
         edit(docs[flag])
         assert main(dump_tp_argv(docs)) == code
         assert "error" in capsys.readouterr().err
+
+
+# Malformed flags, for the commands that do bounded work: flags no
+# parser knows (--no-dedup among them), dropped flags and values, and
+# numeric flags given values that are not numbers.
+STRAY_FLAGS = ["--no-dedup", "--bogus", "-x", "--", "--allocator", "--repeat-time", "--program"]
+BAD_NUMBERS = ["x", "", "nan", "inf", "-1", "1e400", "0x10", "9" * 400, "--no-dedup"]
+NUMERIC_FLAG = {"compile": "--repeat-time", "dump-tp": "--repeat-time", "dump-envelope": "--element"}
+
+
+@pytest.fixture(scope="module")
+def flag_out(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("flags"))
+
+
+def bounded_argv(configs, compiled, out):
+    """Each command's fixed head (compile always writes into ``out``)
+    and valid flags for the property to mutate."""
+    return {
+        "compile": (
+            ["compile", "--out", out],
+            [*config_args(configs), "--allocator", "runc", "--repeat-time", "1e-6"],
+        ),
+        "dump-tp": (["dump-tp"], [*config_args(configs), "--repeat-time", "1e-6"]),
+        "dump-envelope": (
+            ["dump-envelope"],
+            ["--program", str(compiled / "program.qfpb"), "--element", "0"],
+        ),
+    }
+
+
+class TestMalformedFlags:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bounded_commands_exit_with_a_documented_code(
+        self, configs, compiled, flag_out, data
+    ):
+        cmd = data.draw(st.sampled_from(sorted(NUMERIC_FLAG)))
+        head, flags = bounded_argv(configs, compiled, flag_out)[cmd]
+        for _ in range(data.draw(st.integers(1, 3))):
+            kind = data.draw(st.sampled_from(["stray", "drop", "number"]))
+            at = data.draw(st.integers(0, len(flags)))
+            if kind == "stray":
+                flags.insert(at, data.draw(st.sampled_from(STRAY_FLAGS)))
+            elif kind == "drop":
+                del flags[at:at + 1]
+            else:
+                flags[at:at] = [NUMERIC_FLAG[cmd], data.draw(st.sampled_from(BAD_NUMBERS))]
+        assert main(head + flags) in range(6)
+
+    def test_removed_no_dedup_flag_is_a_usage_error(self, configs, capsys):
+        assert main(["dump-tp", *config_args(configs), "--no-dedup"]) == 1
+        assert "unrecognized arguments: --no-dedup" in capsys.readouterr().err

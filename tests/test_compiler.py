@@ -22,7 +22,6 @@ from qubicforge.compiler import (
     _ceil_samples,
     _DynamicAllocator,
     _snap,
-    _StaticAllocator,
     _to_cycles,
     Circuit,
     CompiledProgram,
@@ -286,21 +285,6 @@ class TestLowerToNv:
         assert starts == {0}
         assert len(prog.image.envelopes[0]) == 32
 
-    def test_dedup_off_duplicates(self):
-        circ = Circuit([gate("X90", "Q6"), gate("X90", "Q6")])
-        prog = compile_circuit(circ, CHIP, GATES, HW, dedup=False)
-        assert sorted(c.start for c in prog.commands) == [0, 32]
-        assert len(prog.image.envelopes[0]) == 64
-
-    def test_dedup_toggle_same_waveform(self):
-        circ = Circuit([gate("X90", "Q6"), gate("Y180", "Q6"), gate("X90", "Q6")])
-        a = compile_circuit(circ, CHIP, GATES, HW, dedup=True)
-        b = compile_circuit(circ, CHIP, GATES, HW, dedup=False)
-        wa = simulate_program(a).dac
-        wb = simulate_program(b).dac
-        for pair in wa:
-            assert np.array_equal(wa[pair], wb[pair])
-
     def test_spill_to_free_element(self):
         # Force exhaustion: many distinct amplitudes of a long envelope.
         hw = load_hardware_config(
@@ -402,15 +386,15 @@ def run_allocator(alloc, ops):
 
 
 class TestDynamicAllocatorBusyCheck:
-    @given(ops=ALLOC_OPS, dedup=st.booleans())
+    @given(ops=ALLOC_OPS)
     @settings(max_examples=300, deadline=None)
-    def test_matches_linear_scan(self, ops, dedup):
+    def test_matches_linear_scan(self, ops):
         # a 6-word memory on each of three up elements, so pulses spill
         hw = types.SimpleNamespace(envelope_buffer_depth=6, n_processing_elements_up=3)
-        fast = _DynamicAllocator(hw, dedup=dedup)
-        slow = LinearScanAllocator(hw, dedup=dedup)
+        fast = _DynamicAllocator(hw)
+        slow = LinearScanAllocator(hw)
         assert run_allocator(fast, ops) == run_allocator(slow, ops)
-        assert (fast.memory, fast.layout) == (slow.memory, slow.layout)
+        assert (fast.memory.words, fast.memory.layout) == (slow.memory.words, slow.memory.layout)
         for element, windows in fast.busy.items():
             assert windows == sorted(slow.busy[element])
 
@@ -458,6 +442,20 @@ class TestStaticAllocator:
         circ = Circuit([gate("X90", "Q6", modify={"pcarrier": "pi", "fcarrier": 200e6})])
         prog = compile_circuit(circ, CHIP, GATES, HW, allocator="runc")
         assert prog.commands[0].phase_word == 1 << 13
+
+    def test_over_deep_gate_set_pulse_rejected_before_generating(self, monkeypatch):
+        # a gate no circuit uses, longer than the whole envelope buffer
+        spec = json.loads(json.dumps(GATES_JSON))
+        spec["gates"]["Q5long"] = [dict(spec["gates"]["Q6X90"][0], twidth=2e-4)]
+        gates = load_gate_spec(json.dumps(spec), CHIP)
+        calls = []
+        monkeypatch.setattr(compiler, "generate", lambda *a: calls.append(a))
+        with pytest.raises(
+            CompileError,
+            match=r"^gate 'Q5long': static envelope layout exceeds buffer depth on element 0$",
+        ):
+            compile_circuit(Circuit([gate("X90", "Q6")]), CHIP, gates, HW, allocator="runc")
+        assert calls == []
 
     def test_layout_independent_of_circuit(self):
         a = compile_circuit(Circuit([gate("X90", "Q6")]), CHIP, GATES, HW, allocator="runc")
@@ -661,7 +659,9 @@ SAMPLE_BLOBS = [
 # ---------------------------------------------------------------------------
 # Oracle: a test-only copy of the compiler before pulse shapes were
 # resolved once per call (``schedule`` and ``lower_to_nv`` with their
-# envelope cache and allocators; ``lower_to_tp`` did not change).
+# envelope cache and allocators; ``lower_to_tp`` did not change).  Its
+# allocators keep their own memory and timing bookkeeping and share no
+# code with the compiler's.
 
 
 def reference_schedule(circuit, gates, hw):
@@ -714,7 +714,27 @@ class ReferenceEnvelopeCache:
         return got
 
 
-class ReferenceDynamicAllocator(LinearScanAllocator):
+class ReferenceDynamicAllocator:
+    def __init__(self, hw):
+        self.hw = hw
+        self.memory = {}
+        self.regions = {}
+        self.busy = {}
+        self.layout = {}
+
+    def _has_room(self, element, n_words):
+        return len(self.memory.get(element, ())) + n_words <= self.hw.envelope_buffer_depth
+
+    def _time_free(self, element, n0, n1):
+        return all(hi <= n0 or lo >= n1 for lo, hi in self.busy.get(element, ()))
+
+    def _reserve_time(self, element, n0, n1, what):
+        if not self._time_free(element, n0, n1):
+            raise CompileError(
+                f"{what}: element {element} is busy during samples [{n0}, {n1})"
+            )
+        self.busy.setdefault(element, []).append((n0, n1))
+
     def place_up(self, element, words, n0, n1, label, source):
         candidates = [element] + [
             e for e in range(self.hw.n_processing_elements_up) if e != element
@@ -726,7 +746,7 @@ class ReferenceDynamicAllocator(LinearScanAllocator):
         for cand in candidates:
             if cand != element and not self._time_free(cand, n0, n1):
                 continue
-            if self.dedup and (cand, words) in self.regions:
+            if (cand, words) in self.regions:
                 start = self.regions[(cand, words)]
                 self._reserve_time(cand, n0, n1, label)
                 return cand, start
@@ -734,12 +754,14 @@ class ReferenceDynamicAllocator(LinearScanAllocator):
                 mem = self.memory.setdefault(cand, [])
                 start = len(mem)
                 mem.extend(words)
-                if self.dedup:
-                    self.regions[(cand, words)] = start
+                self.regions[(cand, words)] = start
                 self.layout.setdefault(cand, []).append((start, len(words), label))
                 self._reserve_time(cand, n0, n1, label)
                 return cand, start
         raise CompileError(f"{label}: envelope memory exhausted on every up element")
+
+    def place_down(self, element, n0, n1, label):
+        self._reserve_time(element, n0, n1, label)
 
 
 class ReferenceStaticAllocator:
@@ -772,11 +794,26 @@ class ReferenceStaticAllocator:
                     )
                 self.by_source[(name, idx)] = (ch.element, start, words)
 
-    place_up = _StaticAllocator.place_up
-    place_down = _StaticAllocator.place_down
+    def place_up(self, element, words, n0, n1, label, source):
+        if source not in self.by_source:
+            raise CompileError(
+                f"{label}: pulse has no static allocation (not part of the gate set)"
+            )
+        alloc_element, start, alloc_words = self.by_source[source]
+        if alloc_element != element:
+            raise CompileError(f"{label}: channel element changed after static allocation")
+        if words != alloc_words:
+            raise CompileError(
+                f"{label}: override alters the stored envelope; the static "
+                f"allocator only permits fcarrier and pcarrier changes"
+            )
+        return element, start
+
+    def place_down(self, element, n0, n1, label):
+        return None
 
 
-def reference_lower_to_nv(tp_list, hw, allocator="optm", gates=None, dedup=True):
+def reference_lower_to_nv(tp_list, hw, allocator, gates):
     cache = ReferenceEnvelopeCache(hw.dac_sample_rate)
 
     def chmap_lookup(dest, what):
@@ -786,7 +823,7 @@ def reference_lower_to_nv(tp_list, hw, allocator="optm", gates=None, dedup=True)
             raise CompileError(f"{what}: {exc}") from None
 
     if allocator == "optm":
-        alloc = ReferenceDynamicAllocator(hw, dedup=dedup)
+        alloc = ReferenceDynamicAllocator(hw)
     else:
         alloc = ReferenceStaticAllocator(hw, gates, chmap_lookup, cache)
     spc = hw.samples_per_cycle
@@ -842,10 +879,10 @@ def reference_lower_to_nv(tp_list, hw, allocator="optm", gates=None, dedup=True)
     return commands, envelopes, min_cycles, layout
 
 
-def reference_compile(circuit, hw, allocator, dedup):
+def reference_compile(circuit, hw, allocator):
     tp = lower_to_tp(reference_schedule(circuit, GATES, hw), GATES, CHIP, hw)
     commands, envelopes, repeat_cycles, layout = reference_lower_to_nv(
-        tp, hw, allocator=allocator, gates=GATES, dedup=dedup
+        tp, hw, allocator, GATES
     )
     image = ProgramImage(
         commands=tuple(cmdcodec.encode(c) for c in commands),
@@ -947,15 +984,14 @@ class TestCompileOracle:
         ops=ORACLE_OPS,
         hw_name=st.sampled_from(sorted(ORACLE_HW)),
         allocator=st.sampled_from(["optm", "runc"]),
-        dedup=st.booleans(),
     )
     @settings(max_examples=400, deadline=None)
-    def test_matches_reference_compiler(self, ops, hw_name, allocator, dedup):
+    def test_matches_reference_compiler(self, ops, hw_name, allocator):
         hw = ORACLE_HW[hw_name]
         circuit = Circuit(ops)
         assert _outcome(
-            lambda: compile_circuit(circuit, CHIP, GATES, hw, allocator=allocator, dedup=dedup)
-        ) == _outcome(lambda: reference_compile(circuit, hw, allocator, dedup))
+            lambda: compile_circuit(circuit, CHIP, GATES, hw, allocator=allocator)
+        ) == _outcome(lambda: reference_compile(circuit, hw, allocator))
 
     @pytest.mark.parametrize(
         "ops, hw_name, allocator, message",
@@ -978,7 +1014,7 @@ class TestCompileOracle:
         hw = ORACLE_HW[hw_name]
         circuit = Circuit(ops)
         new = _outcome(lambda: compile_circuit(circuit, CHIP, GATES, hw, allocator=allocator))
-        assert new == _outcome(lambda: reference_compile(circuit, hw, allocator, True))
+        assert new == _outcome(lambda: reference_compile(circuit, hw, allocator))
         assert new[0] == "CompileError" and message in new[1]
 
     def test_envelopes_cached_across_compilations(self, monkeypatch):

@@ -962,6 +962,16 @@ class TestFaultTolerance:
         finally:
             sock.close()
 
+    def test_colliding_seqs_from_two_clients_both_execute(self, server):
+        first, second = (make_client(server, seq_start=1000) for _ in range(2))
+        try:
+            first.write_control(REG_SHOTS, 7)
+            second.write_control(REG_SHOTS, 9)
+            assert first.read_control(REG_SHOTS) == 9
+        finally:
+            first.close()
+            second.close()
+
     def test_malformed_datagrams_dropped(self, server):
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         addr = ("127.0.0.1", server.port)
