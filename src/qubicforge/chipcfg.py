@@ -131,7 +131,7 @@ def parse_phase(value, path="pcarrier"):
         if isinstance(node, ast.Expression):
             return ev(node.body)
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return float(node.value)
+            return _to_float(node.value)
         if isinstance(node, ast.Name) and node.id in _ALLOWED_PHASE_NAMES:
             return _ALLOWED_PHASE_NAMES[node.id]
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
@@ -155,9 +155,11 @@ def parse_phase(value, path="pcarrier"):
     # the parser and ev recurse: a deeply nested expression exhausts the
     # parser's stack (MemoryError) or the interpreter's (RecursionError)
     try:
-        return ev(ast.parse(text, mode="eval"))
+        phase = ev(ast.parse(text, mode="eval"))
     except (SyntaxError, MemoryError, RecursionError):
         raise ConfigError(f"cannot parse phase expression {value!r}", path=path) from None
+    # an expression can overflow where no literal does, e.g. "1e308*10"
+    return _require_number(phase, path)
 
 
 class _Config:

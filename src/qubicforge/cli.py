@@ -28,7 +28,7 @@ from .chipcfg import (
 )
 from .compiler import CompiledProgram, compile_circuit, load_circuit, simulate_program
 from .device import DeviceClient, DeviceServer, UdpTransport
-from .dspsim import AcqConfig, Loopback, Simulator
+from .dspsim import ACQ_TAPS, AcqConfig, Loopback, Simulator
 from .errors import (
     AnalysisError,
     CompileError,
@@ -341,9 +341,7 @@ def _add_out_flags(p, default_name):
 
 
 def _add_acq_flags(p):
-    p.add_argument(
-        "--acq-tap", choices=("adc", "dac", "dlo"), default="adc", help="capture tap"
-    )
+    p.add_argument("--acq-tap", choices=ACQ_TAPS, default="adc", help="capture tap")
     p.add_argument("--acq-unit", type=int, default=0, help="pair or element to tap")
     p.add_argument(
         "--acq-length", type=int, default=0, help="samples to capture (0 disables)"

@@ -47,12 +47,12 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import cmdcodec
-from .dspsim import AcqConfig, ProgramImage, RunBuffers, Simulator, acc_windows
+from .dspsim import ACQ_TAPS, AcqConfig, ProgramImage, RunBuffers, Simulator, acc_windows
 from .envgen import iq_lanes, u32_array
 from .errors import EncodingError, SimulationError, TransportError
 
@@ -77,6 +77,7 @@ REGION_ACC = 3
 REGION_ACQ = 4
 REGION_CONTROL = 5
 REGION_ENVELOPE_CRC = 6
+_WRITABLE_REGIONS = (REGION_COMMAND, REGION_ENVELOPE, REGION_CONTROL)
 
 STATUS_OK = 0
 STATUS_BAD_REGION = 1
@@ -95,7 +96,7 @@ _STATUS_NAMES = {
 # CONTROL register indices
 REG_SHOTS = 0
 REG_ACC_CLEAR = 1
-REG_ACQ_TAP = 2  # 0 adc, 1 dac, 2 dlo
+REG_ACQ_TAP = 2  # index into dspsim.ACQ_TAPS: 0 adc, 1 dac, 2 dlo
 REG_ACQ_UNIT = 3
 REG_ACQ_LEN = 4
 REG_REPEAT_CYCLES = 5
@@ -103,18 +104,8 @@ REG_N_COMMANDS = 6
 REG_ENVELOPE_DEPTH = 7  # read-only: envelope words per up element
 N_CONTROL_REGS = 8
 
-_ACQ_TAPS = ("adc", "dac", "dlo")
 _REPLAY_CACHE_SIZE = 1024  # replies the server keeps for retransmitted requests
 _MAX_POLLS = 100_000  # long-polled STATUS requests before a client gives up
-
-REGION_WORD_SIZE = {
-    REGION_COMMAND: cmdcodec.COMMAND_BYTES,
-    REGION_ENVELOPE: 4,
-    REGION_ACC: 4,
-    REGION_ACQ: 4,
-    REGION_CONTROL: 4,
-    REGION_ENVELOPE_CRC: 4,
-}
 
 
 @dataclass(frozen=True)
@@ -163,8 +154,16 @@ def decode_packet(data: bytes) -> Packet:
     )
 
 
-def _pack_words(region, words) -> bytes:
-    """Big-endian payload of ``words``; TransportError if one does not fit."""
+# Region words on the wire: 16-byte command words in COMMAND, big-endian
+# u32 words in every other region.
+
+
+def _word_size(region) -> int:
+    return cmdcodec.COMMAND_BYTES if region == REGION_COMMAND else 4
+
+
+def _to_payload(region, words) -> bytes:
+    """Payload of ``words``; TransportError if one does not fit."""
     try:
         if region == REGION_COMMAND:
             return cmdcodec.commands_to_bytes(words)
@@ -173,6 +172,13 @@ def _pack_words(region, words) -> bytes:
         raise TransportError(str(exc)) from None
     except ValueError as exc:
         raise TransportError(f"region {region}: {exc}") from None
+
+
+def _from_payload(region, payload) -> list:
+    """The words, as ints, of a payload of whole words."""
+    if region == REGION_COMMAND:
+        return cmdcodec.commands_from_bytes(payload)
+    return np.frombuffer(payload, ">u4").tolist()
 
 
 def acq_words(acq_array) -> np.ndarray:
@@ -388,36 +394,26 @@ class DeviceServer:
         return handler(request)
 
     def _status_reply(self, request, status, payload=b""):
-        return Packet(
-            seq=request.seq,
-            op=request.op,
-            region=request.region,
-            unit=request.unit,
-            status=status,
-            offset=request.offset,
-            count=request.count,
-            payload=payload,
-        )
+        return replace(request, status=status, payload=payload)
 
     def _region_store(self, region, unit):
-        """(store list, word size, writable) or None."""
+        """The words of a region, or None; read-only regions as u32 words."""
         if region == REGION_COMMAND:
-            return self.commands, cmdcodec.COMMAND_BYTES, True
+            return self.commands
         if region == REGION_ENVELOPE:
-            store = self.envelopes.get(unit)
-            return None if store is None else (store, 4, True)
+            return self.envelopes.get(unit)
         if region == REGION_ACC:
             entries = self.buffers.acc.get(unit)
             if entries is None:
                 return None
-            return np.array(entries, dtype=np.int64).reshape(-1), 4, False
+            # signed entries as their two's complement
+            return np.array(entries, dtype=np.int64).reshape(-1) & 0xFFFFFFFF
         if region == REGION_ACQ:
-            # One word per I/Q row; _op_read packs only the rows it serves.
-            return self.buffers.acq, 4, False
+            return acq_words(self.buffers.acq)
         if region == REGION_CONTROL:
-            return self.control, 4, True
+            return self.control
         if region == REGION_ENVELOPE_CRC:
-            return self._envelope_crcs(), 4, False
+            return self._envelope_crcs()
         return None
 
     def _envelope_crcs(self):
@@ -427,30 +423,29 @@ class DeviceServer:
         return [self._envelope_crc[e] for e in sorted(self.envelopes)]
 
     def _op_write(self, request):
-        got = self._region_store(request.region, request.unit)
-        if got is None:
+        store = self._region_store(request.region, request.unit)
+        if store is None:
             return self._status_reply(request, STATUS_BAD_REGION)
-        store, word_size, writable = got
-        if not writable:
+        if request.region not in _WRITABLE_REGIONS:
             return self._status_reply(request, STATUS_BAD_OP)
         if self.running and request.region != REGION_CONTROL:
             return self._status_reply(request, STATUS_BAD_STATE)
         count = request.count
-        if len(request.payload) != count * word_size:
+        if len(request.payload) != count * _word_size(request.region):
             return self._status_reply(request, STATUS_BAD_RANGE)
         lo = request.offset
         if lo + count > len(store):
             return self._status_reply(request, STATUS_BAD_RANGE)
         if request.region == REGION_CONTROL and lo + count > REG_ENVELOPE_DEPTH:
             return self._status_reply(request, STATUS_BAD_OP)
-        if request.region == REGION_COMMAND:
-            store[lo : lo + count] = cmdcodec.commands_from_bytes(request.payload)
-        elif request.region == REGION_CONTROL:
-            for reg, value in enumerate(np.frombuffer(request.payload, ">u4").tolist(), lo):
+        words = _from_payload(request.region, request.payload)
+        if request.region == REGION_CONTROL:
+            for reg, value in enumerate(words, lo):
                 self._write_control(reg, value)
         else:
-            store[lo : lo + count] = np.frombuffer(request.payload, ">u4")
-            self._envelope_crc.pop(request.unit, None)
+            store[lo : lo + count] = words
+            if request.region == REGION_ENVELOPE:
+                self._envelope_crc.pop(request.unit, None)
         return self._status_reply(request, STATUS_OK)
 
     def _write_control(self, reg, value):
@@ -462,24 +457,16 @@ class DeviceServer:
         self.control[reg] = value
 
     def _op_read(self, request):
-        got = self._region_store(request.region, request.unit)
-        if got is None:
+        store = self._region_store(request.region, request.unit)
+        if store is None:
             return self._status_reply(request, STATUS_BAD_REGION)
-        store, word_size, _ = got
         count = request.count
-        if count * word_size > MAX_PAYLOAD:
+        if count * _word_size(request.region) > MAX_PAYLOAD:
             return self._status_reply(request, STATUS_BAD_RANGE)
         if request.offset + count > len(store):
             return self._status_reply(request, STATUS_BAD_RANGE)
         words = store[request.offset : request.offset + count]
-        if request.region == REGION_COMMAND:
-            payload = cmdcodec.commands_to_bytes(words)
-        else:
-            if request.region == REGION_ACQ:
-                words = acq_words(words)
-            # ACC entries are signed: the cast keeps their two's complement
-            payload = np.asarray(words, dtype=np.int64).astype(">u4").tobytes()
-        return self._status_reply(request, STATUS_OK, payload)
+        return self._status_reply(request, STATUS_OK, _to_payload(request.region, words))
 
     def _op_start(self, request):
         if self.running:
@@ -496,10 +483,10 @@ class DeviceServer:
         acq_cfg = None
         if acq_len:
             tap_idx = self.control[REG_ACQ_TAP]
-            if tap_idx >= len(_ACQ_TAPS) or acq_len > self.hw.acq_buffer_depth:
+            if tap_idx >= len(ACQ_TAPS) or acq_len > self.hw.acq_buffer_depth:
                 return self._status_reply(request, STATUS_BAD_RANGE)
             acq_cfg = AcqConfig(
-                tap=_ACQ_TAPS[tap_idx], unit=self.control[REG_ACQ_UNIT], length=acq_len
+                tap=ACQ_TAPS[tap_idx], unit=self.control[REG_ACQ_UNIT], length=acq_len
             )
         try:
             # Validate the program, and copy the envelope memory it reads,
@@ -640,8 +627,8 @@ class DeviceClient:
         Every word is checked against the region's word size before
         anything is sent.
         """
-        word_size = REGION_WORD_SIZE.get(region, 4)
-        payload = _pack_words(region, words)
+        word_size = _word_size(region)
+        payload = _to_payload(region, words)
         chunk = MAX_PAYLOAD // word_size * word_size
         for pos in range(0, len(payload), chunk):
             part = payload[pos : pos + chunk]
@@ -655,7 +642,7 @@ class DeviceClient:
             )
 
     def _read_bytes(self, region, unit, offset, count) -> bytes:
-        word_size = REGION_WORD_SIZE.get(region, 4)
+        word_size = _word_size(region)
         per_chunk = MAX_PAYLOAD // word_size
         parts = []
         for pos in range(0, count, per_chunk):
@@ -672,10 +659,7 @@ class DeviceClient:
         return b"".join(parts)
 
     def read_region(self, region, unit, offset, count):
-        data = self._read_bytes(region, unit, offset, count)
-        if region == REGION_COMMAND:
-            return cmdcodec.commands_from_bytes(data)
-        return np.frombuffer(data, ">u4").tolist()
+        return _from_payload(region, self._read_bytes(region, unit, offset, count))
 
     def write_control(self, reg, value):
         self.write_region(REGION_CONTROL, 0, reg, [value])
@@ -753,7 +737,7 @@ class DeviceClient:
         """Upload, run, and collect: the full remote execution cycle."""
         self.upload_program(program)
         # ACC_CLEAR, ACQ_TAP, ACQ_UNIT, ACQ_LEN
-        capture = [0, 0, 0] if acq is None else [_ACQ_TAPS.index(acq.tap), acq.unit, acq.length]
+        capture = [0, 0, 0] if acq is None else [ACQ_TAPS.index(acq.tap), acq.unit, acq.length]
         self.write_region(REGION_CONTROL, 0, REG_ACC_CLEAR, [1, *capture])
         self.start(shots)
         done, faults = self.wait()

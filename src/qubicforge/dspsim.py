@@ -34,7 +34,7 @@ import numpy as np
 from . import cmdcodec
 from .cmdcodec import CommandFields
 from .envgen import iq_lanes, u32_array
-from .errors import SimulationError
+from .errors import EncodingError, SimulationError
 
 FULL_SCALE = 32767
 
@@ -216,16 +216,19 @@ def acc_windows(commands, n_up) -> Counter:
     return Counter(cmd.element for cmd in commands if cmd.element >= n_up)
 
 
+ACQ_TAPS = ("adc", "dac", "dlo")  # capture taps; a tap's index is its CONTROL code
+
+
 @dataclass(frozen=True)
 class AcqConfig:
     """Raw capture settings: one tap, one unit, a sample count."""
 
-    tap: str = "adc"  # "adc", "dac", or "dlo"
+    tap: str = "adc"  # one of ACQ_TAPS
     unit: int = 0  # DAC/ADC pair for adc/dac taps, element for dlo
     length: int = 0
 
     def __post_init__(self):
-        if self.tap not in ("adc", "dac", "dlo"):
+        if self.tap not in ACQ_TAPS:
             raise SimulationError(f"unknown acquisition tap {self.tap!r}")
         if self.length < 0:
             raise SimulationError("acquisition length must be >= 0")
@@ -404,12 +407,16 @@ class Simulator:
             )
         spc = hw.samples_per_cycle
         shot_samples = image.repeat_cycles * spc
-        decoded = [cmdcodec.decode(word) for word in image.commands]
+        decoded = []
+        for pos, word in enumerate(image.commands):
+            try:
+                decoded.append(cmdcodec.decode(word))
+            except EncodingError as exc:
+                raise SimulationError(f"command {pos}: {exc}") from None
         per_element = {}
         for pos, cmd in enumerate(decoded):
             if cmd.element >= hw.n_elements:
                 raise SimulationError(f"command {pos}: element {cmd.element} out of range")
-            hw.element_direction(cmd.element)
             if cmd.destination >= hw.n_dac_pairs:
                 raise SimulationError(
                     f"command {pos}: destination {cmd.destination} out of range "

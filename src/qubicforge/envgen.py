@@ -80,7 +80,10 @@ class EnvelopeSpec:
         if self.kind == "custom_samples":
             if len(self.samples) == 0:
                 raise EnvelopeError("custom_samples requires a non-empty sample list")
-            if max(abs(complex(s)) for s in self.samples) > 1 + 1e-12:
+            magnitudes = [abs(complex(s)) for s in self.samples]
+            if not all(map(math.isfinite, magnitudes)):
+                raise EnvelopeError("custom samples must be finite")
+            if max(magnitudes) > 1 + 1e-12:
                 raise EnvelopeError("custom sample magnitude exceeds 1")
         elif self.samples:
             raise EnvelopeError(f"envelope kind {self.kind!r} takes no explicit samples")
@@ -227,7 +230,8 @@ def u32_array(words) -> np.ndarray:
         arr = np.asarray(words, dtype=np.int64)
     except OverflowError:  # a Python int beyond int64
         arr = None
-    if arr is None or np.any((arr < 0) | (arr > 0xFFFFFFFF)):
+    # a word outside [0, 2**32) keeps nonzero bits above bit 31
+    if arr is None or (arr >> 32).any():
         bad = next(int(w) for w in words if not 0 <= int(w) <= 0xFFFFFFFF)
         raise ValueError(f"word {bad:#x} does not fit 32 bits")
     return arr

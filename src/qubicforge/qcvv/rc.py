@@ -15,18 +15,21 @@ time: a circuit's V variants are one (V, depth+1, 2) array of easy-layer
 indices, twirled from one draw of (V, depth, 2) Pauli codes, and
 circuits of equal depth share every stack after that.  Verification
 compares the whole (V, 4, 4) stack of variant unitaries with the bare
-one, the density matrices evolve as one stack, and each arm draws its
-counts with one multinomial call.  The single-circuit functions
-(``twirl_circuit``, ``circuit_unitary``, ``verify_twirl``,
+one, the density matrices evolve as one stack that gathers each easy
+layer's unitary from its indices on the step that applies it, and each
+arm draws its counts with one multinomial call.  The single-circuit
+functions (``twirl_circuit``, ``circuit_unitary``, ``verify_twirl``,
 ``final_probabilities``, ``sample_counts``) are stacks of one through
 the same code, with the same bits and random stream.
 
 Each harness run reports wall-clock seconds for its pipeline stages:
 Compile (twirl generation + equivalence checks), Transpile (external
 in a real deployment; recorded as an explicit no-op), Transfer
-(payload serialization), SeqGen (layer matrices), Run (density-matrix
-evolution, proportional to variants x depth), Acquire (sampling), and
-Process (distribution distances).
+(payload serialization), SeqGen (also an explicit no-op: no layer
+matrices are built ahead of Run), Run (density-matrix evolution with
+the per-layer gathers, proportional to variants x depth), Acquire
+(sampling), and Process (each arm's TVD to the ideal distribution, as
+array arithmetic over all circuits).
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ import numpy as np
 from ..errors import AnalysisError
 from . import cliffords
 from .model import MockQubitModel, depolarize, readout_channel_2q, zz_error
-from .tvd import distribution, tvd
 
 BITSTRINGS = ("00", "01", "10", "11")
 STAGES = ("Compile", "Transpile", "Transfer", "SeqGen", "Run", "Acquire", "Process")
@@ -165,28 +167,25 @@ def _partial_depolarize(rho: np.ndarray, p: float) -> np.ndarray:
     return (1.0 - p) * rho + p * kron_b
 
 
-def _seqgen(layers: np.ndarray) -> np.ndarray:
-    """(..., depth+1, 4, 4) easy-layer unitaries of (..., depth+1, 2) indices."""
-    return cliffords.pair_tables()[0][layers[..., 0], layers[..., 1]]
-
-
-def _evolve(mats: np.ndarray, model: MockQubitModel) -> np.ndarray:
+def _evolve(layers: np.ndarray, model: MockQubitModel) -> np.ndarray:
     """(..., 4) noisy outcome probabilities over 00..11.
 
-    ``mats`` holds (..., depth+1, 4, 4) easy-layer unitaries; every
-    hard cycle between them is a CNOT followed by the model's ZZ error
-    and depolarization.
+    ``layers`` holds (..., depth+1, 2) easy-layer indices; each layer's
+    unitary is gathered from ``pair_tables()`` on the step that applies
+    it.  Every hard cycle between layers is a CNOT followed by the
+    model's ZZ error and depolarization.
     """
+    kron = cliffords.pair_tables()[0]
     err = zz_error(model.delta) if model.delta else None
-    rho = np.zeros(mats.shape[:-3] + (4, 4), dtype=complex)
+    rho = np.zeros(layers.shape[:-2] + (4, 4), dtype=complex)
     rho[..., 0, 0] = 1.0
-    for k in range(mats.shape[-3]):
+    for k in range(layers.shape[-2]):
         if k:
             rho = cliffords.CNOT @ rho @ cliffords.CNOT
             if err is not None:
                 rho = err @ rho @ err.conj().T
             rho = depolarize(rho, model.two_qubit_depol)
-        u = mats[..., k, :, :]
+        u = kron[layers[..., k, 0], layers[..., k, 1]]
         rho = u @ rho @ u.conj().swapaxes(-1, -2)
         if model.p_dep:
             rho = _partial_depolarize(rho, model.p_dep)
@@ -196,7 +195,7 @@ def _evolve(mats: np.ndarray, model: MockQubitModel) -> np.ndarray:
 
 def final_probabilities(circuit: TwoQubitCircuit, model: MockQubitModel) -> np.ndarray:
     """Diagonal of the noisy output state over 00..11."""
-    return _evolve(_seqgen(_layers(circuit))[None], model)[0]
+    return _evolve(_layers(circuit)[None], model)[0]
 
 
 def _ideal_probs(layers: np.ndarray) -> np.ndarray:
@@ -215,10 +214,6 @@ def _draw_counts(probs: np.ndarray, model: MockQubitModel, shots, rng) -> np.nda
     """
     p = np.clip(readout_channel_2q(probs, model), 0.0, None)
     return rng.multinomial(shots, p / p.sum(axis=-1, keepdims=True))
-
-
-def _distribution(counts: np.ndarray) -> dict:
-    return distribution(dict(zip(BITSTRINGS, counts.tolist())))
 
 
 def sample_counts(probs: np.ndarray, model: MockQubitModel, shots: int, rng) -> dict:
@@ -335,14 +330,14 @@ def rc_harness(
     timings["Transfer"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    bare_seqs = [_seqgen(bare) for bare in bare_stacks]
-    variant_seqs = [_seqgen(ensemble) for ensemble in variant_stacks]
+    # Run gathers each layer's unitary on the step that applies it, so
+    # no stack of layer matrices is built ahead of it
     timings["SeqGen"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     bare_probs = np.empty((len(bare_circuits), 4))
     variant_probs = np.empty((len(bare_circuits), variants, 4))
-    for g, bare, ensemble in zip(groups, bare_seqs, variant_seqs):
+    for g, bare, ensemble in zip(groups, bare_stacks, variant_stacks):
         bare_probs[g] = _evolve(bare, model)
         variant_probs[g] = _evolve(ensemble, model)
     timings["Run"] = time.perf_counter() - t0
@@ -357,12 +352,10 @@ def rc_harness(
     ideal = np.empty((len(bare_circuits), 4))
     for g, bare in zip(groups, bare_stacks):
         ideal[g] = _ideal_probs(bare)
-    bare_tvd = np.empty(len(bare_circuits))
-    rc_tvd = np.empty(len(bare_circuits))
-    for i, probs in enumerate(ideal.tolist()):
-        target = dict(zip(BITSTRINGS, probs))
-        bare_tvd[i] = tvd(_distribution(bare_counts[i]), target)
-        rc_tvd[i] = tvd(_distribution(rc_counts[i]), target)
+    bare_tvd, rc_tvd = (
+        0.5 * np.abs(counts / counts.sum(axis=-1, keepdims=True) - ideal).sum(axis=-1)
+        for counts in (bare_counts, rc_counts)
+    )
     timings["Process"] = time.perf_counter() - t0
 
     return TVDReport(

@@ -140,6 +140,14 @@ class TestPhaseParsing:
             parse_phase("-" * depth + "1")
 
 
+    @pytest.mark.parametrize(
+        "text", ["1e308*10", "1e308*10-1e308*10", "1" + "0" * 400], ids=["inf", "nan", "huge-int"]
+    )
+    def test_non_finite_expression_rejected(self, text):
+        with pytest.raises(ConfigError, match="^where: value must be finite$"):
+            parse_phase(text, "where")
+
+
 class TestGateSpec:
     def test_load_resolves_carriers(self):
         chip = load_chip_config(json.dumps(CHIP))
@@ -193,6 +201,16 @@ class TestGateSpec:
         bad = json.loads(json.dumps(GATES))
         bad["gates"]["Q6Y180"][0]["fcarrier"] = "Q99.freq"
         with pytest.raises(ConfigError, match="Q99"):
+            load_gate_spec(json.dumps(bad), chip)
+
+    def test_nan_custom_sample_rejected(self):
+        chip = load_chip_config(json.dumps(CHIP))
+        bad = json.loads(json.dumps(GATES))
+        bad["gates"]["Q6Y180"][0]["env"] = {
+            "kind": "custom_samples",
+            "samples": [[0.5, 0], math.nan, [0, 0.5], 0.25],
+        }
+        with pytest.raises(ConfigError, match="custom samples must be finite"):
             load_gate_spec(json.dumps(bad), chip)
 
     def test_roundtrip_after_resolution(self):

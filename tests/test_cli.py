@@ -413,6 +413,14 @@ def dump_tp_argv(docs):
     return ["dump-tp", *(f"{flag}={json.dumps(doc)}" for flag, doc in docs.items())]
 
 
+# Where a phase expression appears in the fuzz documents.
+PHASE_SITES = {
+    "gate-pcarrier": ("--gates", lambda d, t: d["gates"]["Q6Y180"][0].update(pcarrier=t)),
+    "modify-pcarrier": ("--circuit", lambda d, t: d["ops"][0]["modify"].update(pcarrier=t)),
+    "virtual-z": ("--circuit", lambda d, t: d["ops"][1]["virtual_z"].update(phase=t)),
+}
+
+
 class TestMalformedInputs:
     @given(docs=mutated_docs())
     @settings(max_examples=300, deadline=None)
@@ -515,6 +523,20 @@ class TestMalformedInputs:
         assert main(dump_tp_argv(docs)) == code
         assert "error" in capsys.readouterr().err
 
+    def test_nan_custom_sample_is_a_config_error(self, capsys):
+        docs = copy.deepcopy(FUZZ_DOCS)
+        docs["--gates"]["gates"]["Q6X90"][0]["env"]["samples"].insert(1, float("nan"))
+        assert main(dump_tp_argv(docs)) == 2
+        assert "custom samples must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("site", sorted(PHASE_SITES))
+    @pytest.mark.parametrize("text", ["1e308*10", "1e308*10-1e308*10"], ids=["inf", "nan"])
+    def test_non_finite_phase_is_a_config_error(self, site, text, capsys):
+        docs = copy.deepcopy(FUZZ_DOCS)
+        flag, edit = PHASE_SITES[site]
+        edit(docs[flag], text)
+        assert main(dump_tp_argv(docs)) == 2
+        assert "value must be finite" in capsys.readouterr().err
 
 # Malformed flags, for the commands that do bounded work: flags no
 # parser knows (--no-dedup among them), dropped flags and values, and

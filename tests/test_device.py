@@ -32,6 +32,7 @@ from qubicforge.device import (
     OP_READ,
     OP_START,
     OP_STATUS,
+    OP_STOP,
     OP_WRITE,
     REG_ACC_CLEAR,
     REG_ENVELOPE_DEPTH,
@@ -582,6 +583,22 @@ class TestExecution:
             f"start rejected: element {n_up} has a conditional command but no flag source"
         ]
 
+    def test_undecodable_command_rejected_at_start(self, server, caplog):
+        reserved = 1 << 100  # fits 128 bits, but sets a reserved bit
+        with make_client(server) as client:
+            client.write_region(REGION_COMMAND, 0, 0, [reserved])
+            client.write_control(REG_N_COMMANDS, 1)
+            client.write_control(REG_SHOTS, 1)
+            with pytest.raises(TransportError, match="bad state"):
+                client._request(OP_START)
+            assert client.status() == (False, 0, 0)
+        assert device_log(caplog) == [
+            "start rejected: command 0: nonzero reserved bits in a command word"
+        ]
+        image = ProgramImage(commands=(reserved,), envelopes={}, repeat_cycles=1)
+        with pytest.raises(SimulationError, match="^command 0: nonzero reserved bits"):
+            Simulator(HW).run(image)
+
     def test_aborted_run(self, server, caplog):
         prog = readout_program()
         acq = AcqConfig(tap="adc", unit=9, length=64)
@@ -1006,3 +1023,105 @@ class TestFaultTolerance:
         for element in local.acc:
             assert np.array_equal(remote.acc[element], local.acc[element])
         assert np.array_equal(remote.acq, local.acq)
+
+
+# Wire fuzzing
+
+_FAULTS = (None, None, None, "truncate", "magic", "crc")
+
+
+@st.composite
+def wire_datagrams(draw):
+    """One datagram and whether it is malformed: a valid packet with
+    arbitrary fields (CONTROL writes hold small values, and a STATUS a
+    small budget, so every run and wait stays short), or a truncated,
+    bad-magic or bad-CRC one."""
+    op = draw(st.sampled_from([0, OP_WRITE, OP_WRITE, OP_READ, OP_START, OP_STOP, OP_STATUS, 9]))
+    region = draw(
+        st.sampled_from(
+            [0, REGION_COMMAND, REGION_ENVELOPE, REGION_ACC, REGION_ACQ]
+            + [REGION_CONTROL, REGION_CONTROL, REGION_ENVELOPE_CRC, 7]
+        )
+    )
+    word = cmdcodec.COMMAND_BYTES if region == REGION_COMMAND else 4
+    # up to every writable register at once
+    n_words = draw(st.integers(0, 7 if region == REGION_CONTROL else 4))
+    if region == REGION_CONTROL:
+        payload = b"".join(draw(st.integers(0, 8)).to_bytes(4, "big") for _ in range(n_words))
+    else:
+        size = n_words * word + draw(st.sampled_from([0, 0, 0, 1, 3]))
+        payload = draw(st.binary(min_size=size, max_size=size))
+    if op == OP_STATUS:
+        count = draw(st.integers(0, 3))  # wait budget, ms
+    else:
+        count = draw(st.one_of(st.just(n_words), st.integers(0, 2**32 - 1)))
+    packet = Packet(
+        seq=draw(st.integers(0, 2**32 - 1)),
+        op=op,
+        region=region,
+        unit=draw(st.integers(0, 24)),
+        status=draw(st.integers(0, 255)),
+        offset=draw(st.one_of(st.integers(0, 7), st.integers(0, 2**32 - 1))),
+        count=count,
+        payload=payload,
+    )
+    blob = bytearray(encode_packet(packet))
+    fault = draw(st.sampled_from(_FAULTS))
+    if fault == "truncate":
+        del blob[draw(st.integers(0, len(blob) - 1)) :]
+    elif fault == "magic":
+        body = draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != b"QBC1"))
+        body += bytes(blob[4:-CRC_SIZE])
+        blob = bytearray(body + zlib.crc32(body).to_bytes(4, "big"))
+    elif fault == "crc":
+        blob[draw(st.integers(0, len(blob) - 1))] ^= 1 << draw(st.integers(0, 7))
+    return bytes(blob), packet, fault is not None
+
+
+@pytest.fixture(scope="module")
+def wire_server():
+    srv = DeviceServer(HW, wiring=Loopback(), seed=5).start()
+    yield srv
+    srv.stop()
+
+
+class TestWireFuzz:
+    # a reused seq is answered from the replay cache, so seqs are unique
+    @given(
+        datagrams=st.lists(
+            wire_datagrams(), min_size=1, max_size=8, unique_by=lambda d: d[1].seq
+        )
+    )
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_datagram_answered_or_dropped(self, wire_server, datagrams):
+        crashed = []
+        hook, threading.excepthook = threading.excepthook, crashed.append
+        # the OS may hand this example's socket an earlier one's port, whose
+        # seqs the replay cache would answer
+        with wire_server._lock:
+            wire_server._cache.clear()
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.settimeout(2.0)
+        addr = ("127.0.0.1", wire_server.port)
+        dropped = wire_server.dropped
+        try:
+            for blob, packet, malformed in datagrams:
+                sock.sendto(blob, addr)
+                if malformed:
+                    dropped += 1
+                    continue
+                reply = decode_packet(sock.recvfrom(8192)[0])
+                assert (reply.seq, reply.op) == (packet.seq, packet.op)
+                assert reply.status in (0, 1, 2, 3, 4)
+            # replies come in order, so this one also covers every drop
+            used = {packet.seq for _, packet, _ in datagrams}
+            seq = min(set(range(len(used) + 1)) - used)
+            sock.sendto(encode_packet(Packet(seq=seq, op=OP_STATUS)), addr)
+            reply = decode_packet(sock.recvfrom(8192)[0])
+            assert (reply.seq, reply.op, reply.status) == (seq, OP_STATUS, 0)
+        finally:
+            sock.close()
+            threading.excepthook = hook
+        assert wire_server.dropped == dropped
+        assert wire_server._thread.is_alive()
+        assert crashed == []

@@ -123,6 +123,13 @@ class TestKernels:
         assert env.samples[0] == 1.0
         assert env.samples[1] == pytest.approx(0.5 + 0.5j)
 
+    @pytest.mark.parametrize(
+        "bad", [math.nan, complex(0.5, math.nan), math.inf], ids=["nan", "nan-imag", "inf"]
+    )
+    def test_non_finite_custom_sample_rejected(self, bad):
+        with pytest.raises(EnvelopeError, match="^custom samples must be finite$"):
+            EnvelopeSpec(kind="custom_samples", samples=(0.5, bad, 0.25))
+
     def test_custom_samples_length_mismatch(self):
         spec = EnvelopeSpec(kind="custom_samples", samples=(0.5, 0.5))
         with pytest.raises(EnvelopeError):
