@@ -52,7 +52,7 @@ from .chipcfg import (
     _load_config,
 )
 from .cmdcodec import CommandFields
-from .dspsim import ProgramImage, Simulator
+from .dspsim import MAX_REPEAT_CYCLES, ProgramImage, Simulator
 from .envgen import Envelope, EnvelopeSpec, _to_float, generate, pack
 from .errors import CompileError, ConfigError
 
@@ -629,6 +629,8 @@ class CompiledProgram:
             repeat_cycles = meta["repeat_cycles"]
             if type(repeat_cycles) is not int or repeat_cycles < 1:
                 raise TypeError("repeat_cycles is not a positive integer")
+            if repeat_cycles > MAX_REPEAT_CYCLES:
+                raise ValueError(f"repeat_cycles exceeds {MAX_REPEAT_CYCLES}")
             allocator = meta.get("allocator", "unknown")
         except (ValueError, KeyError, TypeError, ConfigError) as exc:
             raise CompileError(f"compiled program container has a malformed meta block: {exc}") from None
@@ -758,6 +760,10 @@ def lower_to_nv(
             raise CompileError(
                 f"repeat_time {repeat_time} s is shorter than the program "
                 f"({min_cycles} cycles)"
+            )
+        if repeat_cycles > MAX_REPEAT_CYCLES:
+            raise CompileError(
+                f"repeat_time {repeat_time} s exceeds {MAX_REPEAT_CYCLES} cycles"
             )
 
     memory = alloc.memory

@@ -273,10 +273,13 @@ class DeviceServer:
 
     Holds the memory regions, executes runs on the signal-path
     simulator in a background thread, and answers the control protocol.
-    START prepares (decodes and validates) the staged program once; the
-    run thread then iterates the simulator's shot loop, which folds each
-    shot into the device's buffers under the device lock, so STATUS
-    can observe progress and STOP can interrupt.  Every START numbers
+    START prepares (decodes and validates) the staged program once and
+    hands it to the run thread, one long-lived worker that ``start``
+    creates and ``stop`` ends.  The worker iterates the simulator's shot
+    loop, which folds each shot into the device's buffers under the
+    device lock, so STATUS can observe progress and STOP can interrupt.
+    Under a deterministic wiring an unconditional program executes one
+    shot and replays it for the others.  Every START numbers
     its shots from 0 and counts its own shots and faults, so one START
     of n shots equals a local run of n shots.  A STATUS with a wait
     budget holds the serving thread until the run ends or the budget
@@ -294,12 +297,21 @@ class DeviceServer:
         self.sock.settimeout(0.05)
         self.address = self.sock.getsockname()
         self._lock = threading.RLock()
-        self._run_ended = threading.Condition(self._lock)
+        # notified when START hands a run over and when a run ends
+        self._run_changed = threading.Condition(self._lock)
         self._cache = OrderedDict()
         self._stop = threading.Event()
         self._thread = None
         self._run_thread = None
         self._run_stop = threading.Event()
+        self._next_run = None  # (prepared, shots, acq) for the run thread
+        self._handlers = {
+            OP_WRITE: self._op_write,
+            OP_READ: self._op_read,
+            OP_START: self._op_start,
+            OP_STOP: self._op_stop,
+            OP_STATUS: self._op_status,
+        }
         self.dropped = 0  # malformed datagrams, silently discarded
         self._reset_state()
 
@@ -327,13 +339,17 @@ class DeviceServer:
     # -- lifecycle ------------------------------------------------------
 
     def start(self):
+        self._run_thread = threading.Thread(target=self._run_worker, daemon=True)
+        self._run_thread.start()
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
         return self
 
     def stop(self):
-        self._stop.set()
-        self._run_stop.set()
+        with self._lock:
+            self._stop.set()
+            self._run_stop.set()
+            self._run_changed.notify_all()
         if self._thread is not None:
             self._thread.join()
         if self._run_thread is not None:
@@ -382,13 +398,7 @@ class DeviceServer:
     # -- request handling -------------------------------------------------
 
     def _execute(self, request: Packet) -> Packet:
-        handler = {
-            OP_WRITE: self._op_write,
-            OP_READ: self._op_read,
-            OP_START: self._op_start,
-            OP_STOP: self._op_stop,
-            OP_STATUS: self._op_status,
-        }.get(request.op)
+        handler = self._handlers.get(request.op)
         if handler is None:
             return self._status_reply(request, STATUS_BAD_OP)
         return handler(request)
@@ -474,11 +484,14 @@ class DeviceServer:
         n_cmds = self.control[REG_N_COMMANDS]
         if n_cmds > len(self.commands):
             return self._status_reply(request, STATUS_BAD_RANGE)
-        image = ProgramImage(
-            commands=tuple(self.commands[:n_cmds]),
-            envelopes={},
-            repeat_cycles=max(1, self.control[REG_REPEAT_CYCLES]),
-        )
+        try:
+            image = ProgramImage(
+                commands=tuple(self.commands[:n_cmds]),
+                envelopes={},
+                repeat_cycles=max(1, self.control[REG_REPEAT_CYCLES]),
+            )
+        except SimulationError:  # REPEAT_CYCLES beyond MAX_REPEAT_CYCLES
+            return self._status_reply(request, STATUS_BAD_RANGE)
         acq_len = self.control[REG_ACQ_LEN]
         acq_cfg = None
         if acq_len:
@@ -499,12 +512,24 @@ class DeviceServer:
         # ACC and ACQ carry over; the shot and fault counts start again
         self.buffers = RunBuffers(acc=self.buffers.acc, acq=self.buffers.acq)
         self._run_stop.clear()
-        shots = self.control[REG_SHOTS]
-        self._run_thread = threading.Thread(
-            target=self._run, args=(prepared, shots, acq_cfg), daemon=True
-        )
-        self._run_thread.start()
+        self._next_run = (prepared, self.control[REG_SHOTS], acq_cfg)
+        self._run_changed.notify_all()
         return self._status_reply(request, STATUS_OK)
+
+    def _run_worker(self):
+        """Run each program START hands over, until the server stops.
+
+        A run handed over as the server stops still ends through
+        ``_run``, so a held STATUS poll sees it end."""
+        while True:
+            with self._lock:
+                self._run_changed.wait_for(
+                    lambda: self._next_run is not None or self._stop.is_set()
+                )
+                run, self._next_run = self._next_run, None
+            if run is None:
+                return
+            self._run(*run)
 
     def _run(self, prepared, shots, acq_cfg):
         try:
@@ -519,14 +544,16 @@ class DeviceServer:
                 stop=self._run_stop,
             ):
                 pass
-        except SimulationError as exc:
-            logger.warning("run aborted: %s", exc)
+        except Exception as exc:  # any failure ends this run, not the run thread
+            logger.warning(
+                "run aborted: %s", exc, exc_info=not isinstance(exc, SimulationError)
+            )
             with self._lock:
                 self.buffers.faults += 1
         finally:
             with self._lock:
                 self.running = False
-                self._run_ended.notify_all()
+                self._run_changed.notify_all()
 
     def _op_stop(self, request):
         self._run_stop.set()
@@ -534,7 +561,7 @@ class DeviceServer:
 
     def _op_status(self, request):
         # Waiting releases the lock, so the run thread can go on.
-        self._run_ended.wait_for(lambda: not self.running, request.count / 1000)
+        self._run_changed.wait_for(lambda: not self.running, request.count / 1000)
         b = self.buffers
         payload = struct.pack(
             ">III", 1 if self.running else 0, b.shots_completed, b.faults + b.saturation_count
@@ -678,6 +705,14 @@ class DeviceClient:
         differs.  Afterwards the device's envelope memory is what a local
         run of the program reads.
         """
+        self._upload_memory(program)
+        image = program.image
+        self.write_region(
+            REGION_CONTROL, 0, REG_REPEAT_CYCLES, [image.repeat_cycles, len(image.commands)]
+        )
+
+    def _upload_memory(self, program):
+        """The COMMAND and ENVELOPE writes of ``upload_program``."""
         image, hw = program.image, program.hw
         self.write_region(REGION_COMMAND, 0, 0, image.commands)
         n_up = hw.n_processing_elements_up
@@ -692,9 +727,6 @@ class DeviceClient:
                 padded[: len(words)] = words
                 if zlib.crc32(padded) != crcs[element]:
                     self.write_region(REGION_ENVELOPE, element, 0, padded)
-        self.write_region(
-            REGION_CONTROL, 0, REG_REPEAT_CYCLES, [image.repeat_cycles, len(image.commands)]
-        )
 
     def clear_acc(self):
         self.write_control(REG_ACC_CLEAR, 1)
@@ -734,12 +766,20 @@ class DeviceClient:
         return acq_from_words(np.frombuffer(self._read_bytes(REGION_ACQ, 0, 0, length), ">u4"))
 
     def run_program(self, program, shots, acq=None) -> RemoteResult:
-        """Upload, run, and collect: the full remote execution cycle."""
-        self.upload_program(program)
-        # ACC_CLEAR, ACQ_TAP, ACQ_UNIT, ACQ_LEN
+        """Upload, run, and collect: the full remote execution cycle.
+
+        The memory writes of ``upload_program``, then one CONTROL write
+        of SHOTS through N_COMMANDS, START, STATUS until the run ends,
+        and the reads of ACC and, with a capture, ACQ.
+        """
+        self._upload_memory(program)
+        image = program.image
+        # ACQ_TAP, ACQ_UNIT, ACQ_LEN
         capture = [0, 0, 0] if acq is None else [ACQ_TAPS.index(acq.tap), acq.unit, acq.length]
-        self.write_region(REGION_CONTROL, 0, REG_ACC_CLEAR, [1, *capture])
-        self.start(shots)
+        # SHOTS, ACC_CLEAR, the capture, REPEAT_CYCLES, N_COMMANDS
+        control = [shots, 1, *capture, image.repeat_cycles, len(image.commands)]
+        self.write_region(REGION_CONTROL, 0, REG_SHOTS, control)
+        self._request(OP_START)
         done, faults = self.wait()
         windows = acc_windows(program.commands, program.hw.n_processing_elements_up)
         acc = {

@@ -18,15 +18,18 @@ the same memory image produce bit-identical buffers on any host.  What
 depends only on the image (carriers and up-conversion products) is
 synthesized once per run, before its first shot, in blocks of bounded
 size; each shot sums the stored products onto the DAC pairs and runs
-gating, demodulation and capture.
+gating, demodulation and capture.  When no shot can differ from the
+first (a deterministic wiring and no conditional command), the first
+shot runs and later shots replay it.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -125,6 +128,11 @@ def _div_full_scale(v):
 # ---------------------------------------------------------------------------
 # Program image and run configuration
 
+# The longest repeat period a legal command can reach: the end of a
+# window of 2**12 - 1 samples triggered on cycle 2**24 - 1, at one sample
+# per cycle.  A longer period would only add silence after every window.
+MAX_REPEAT_CYCLES = (1 << cmdcodec.TRIG_T_BITS) - 1 + (1 << cmdcodec.LENGTH_BITS) - 1
+
 
 @dataclass(frozen=True)
 class ProgramImage:
@@ -132,7 +140,8 @@ class ProgramImage:
 
     ``commands`` are 128-bit integers in buffer order; ``envelopes`` maps
     an element index to its 32-bit envelope memory words, held as a tuple
-    of ints.  A word outside [0, 2**32) raises SimulationError.
+    of ints.  A word outside [0, 2**32) raises SimulationError, as does
+    a ``repeat_cycles`` outside [1, MAX_REPEAT_CYCLES].
     """
 
     commands: tuple
@@ -148,6 +157,10 @@ class ProgramImage:
         )
         if self.repeat_cycles < 1:
             raise SimulationError("repeat_cycles must be at least 1")
+        if self.repeat_cycles > MAX_REPEAT_CYCLES:
+            raise SimulationError(
+                f"repeat_cycles {self.repeat_cycles} exceeds {MAX_REPEAT_CYCLES}"
+            )
 
 
 def _envelope_words(element, words) -> tuple:
@@ -307,10 +320,16 @@ class RunBuffers:
 
 # ---------------------------------------------------------------------------
 # Wiring models
+#
+# A wiring whose ``deterministic`` attribute is true declares that what it
+# reads depends only on the DAC samples, never on the shot or its random
+# stream.  Any other wiring is read afresh in every shot.
 
 
 class OpenLoop:
     """ADC inputs read constant zero."""
+
+    deterministic = True
 
     def read(self, shot, pair, lo, hi, dac_reader, rng):
         return np.zeros((hi - lo, 2), dtype=np.int64)
@@ -318,6 +337,8 @@ class OpenLoop:
 
 class Loopback:
     """Each ADC pair observes its own DAC pair after a fixed delay."""
+
+    deterministic = True
 
     def __init__(self, delay_samples=0):
         if delay_samples < 0:
@@ -535,20 +556,34 @@ class Simulator:
         overflow the accumulator depth, counting entries ``out.acc``
         already holds.  The program's signals are synthesized once,
         before the first shot, in the thread that iterates the loop.
+
+        Under a deterministic wiring a program without conditional
+        commands plays the same shot every time, so only shot 0
+        executes: every later shot is a copy of it with its own shot
+        index and its own fault entries, and shares its buffers.
         """
         depth = self.hw.acc_buffer_depth
         events = self._synthesize(prepared)
+        invariant = getattr(self.wiring, "deterministic", False) and all(
+            w.source is None for w in events
+        )
+        first = None
         for shot in range(shots):
             with lock:
                 if stop is not None and stop.is_set():
                     return
                 if any(len(out.acc[e]) + n > depth for e, n in prepared.windows.items()):
                     return
-            rng = np.random.default_rng(None if seed is None else (seed, shot))
-            state = _ShotState(self, prepared, events, shot, rng)
-            state.execute()
-            capture = None if acq is None else state.capture(acq)
-            saturated = state.saturation_count()
+            if first is not None:
+                state = first.replay(shot)  # capture and saturated are shot 0's
+            else:
+                rng = np.random.default_rng(None if seed is None else (seed, shot))
+                state = _ShotState(self, prepared, events, shot, rng)
+                state.execute()
+                capture = None if acq is None else state.capture(acq)
+                saturated = state.saturation_count()
+                if invariant:
+                    first = state
             with lock:
                 for e, entries in state.entries.items():
                     out.acc[e].extend(entries)
@@ -646,6 +681,14 @@ class _ShotState:
         classifier = self.sim.classifier_map.get(element, StateClassifier())
         self.flags[element] = classifier.classify(entry_i, entry_q)
         return (entry_i, entry_q)
+
+    def replay(self, shot):
+        """This shot's outcome as shot ``shot``: the same buffers, flags
+        and entries, and fault entries of its own carrying ``shot``."""
+        twin = copy.copy(self)
+        twin.shot = shot
+        twin.faults = [replace(f, shot=shot) for f in self.faults]
+        return twin
 
     def saturation_count(self):
         count = 0

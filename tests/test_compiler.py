@@ -37,7 +37,7 @@ from qubicforge.compiler import (
     schedule,
     simulate_program,
 )
-from qubicforge.dspsim import FULL_SCALE, Loopback, ProgramImage
+from qubicforge.dspsim import FULL_SCALE, MAX_REPEAT_CYCLES, Loopback, ProgramImage
 from qubicforge.envgen import Envelope, generate, pack
 
 CHIP = load_chip_config(
@@ -349,6 +349,17 @@ class TestLowerToNv:
         with pytest.raises(CompileError, match="shorter"):
             compile_circuit(circ, CHIP, GATES, HW, repeat_time=4e-9)
 
+    def test_repeat_time_beyond_bound_rejected(self):
+        circ = Circuit([gate("X90", "Q6")])
+        longest = compile_circuit(
+            circ, CHIP, GATES, HW, repeat_time=MAX_REPEAT_CYCLES / HW.dsp_clock
+        )
+        assert longest.repeat_cycles == MAX_REPEAT_CYCLES
+        with pytest.raises(CompileError, match=f"exceeds {MAX_REPEAT_CYCLES} cycles"):
+            compile_circuit(
+                circ, CHIP, GATES, HW, repeat_time=(MAX_REPEAT_CYCLES + 1) / HW.dsp_clock
+            )
+
 
 class LinearScanAllocator(_DynamicAllocator):
     """The dynamic allocator with a scan over every reserved window."""
@@ -546,6 +557,16 @@ class TestSerialization:
         meta_len = int.from_bytes(blob[8:12], "big")
         body = blob[:8] + len(meta).to_bytes(4, "big") + meta + blob[12 + meta_len : -4]
         with pytest.raises(CompileError, match="malformed meta block"):
+            CompiledProgram.deserialize(reseal(body))
+
+    def test_repeat_cycles_beyond_bound_rejected(self):
+        blob = SAMPLE_BLOBS[0]
+        meta_len = int.from_bytes(blob[8:12], "big")
+        meta = json.loads(blob[12 : 12 + meta_len])
+        meta["repeat_cycles"] = MAX_REPEAT_CYCLES + 1
+        raw = json.dumps(meta).encode()
+        body = blob[:8] + len(raw).to_bytes(4, "big") + raw + blob[12 + meta_len : -4]
+        with pytest.raises(CompileError, match="malformed meta block: repeat_cycles exceeds"):
             CompiledProgram.deserialize(reseal(body))
 
     def test_nonzero_pad_rejected(self):

@@ -26,6 +26,7 @@ from qubicforge.compiler import (
     simulate_program,
 )
 from qubicforge.device import (
+    ACQ_TAPS,
     CRC_SIZE,
     HEADER_SIZE,
     MAX_PAYLOAD,
@@ -55,7 +56,14 @@ from qubicforge.device import (
     decode_packet,
     encode_packet,
 )
-from qubicforge.dspsim import AcqConfig, External, Loopback, ProgramImage, Simulator
+from qubicforge.dspsim import (
+    MAX_REPEAT_CYCLES,
+    AcqConfig,
+    External,
+    Loopback,
+    ProgramImage,
+    Simulator,
+)
 from qubicforge import cmdcodec, dspsim
 
 CHIP = load_chip_config(
@@ -225,6 +233,22 @@ def readout_program(n_reads=1):
 @pytest.fixture
 def server():
     srv = DeviceServer(HW, wiring=Loopback(), seed=1234).start()
+    yield srv
+    srv.stop()
+
+
+class PerShotLoopback(Loopback):
+    """``Loopback`` that does not declare itself deterministic, so every
+    shot of a run executes."""
+
+    deterministic = False
+
+
+@pytest.fixture
+def per_shot_server():
+    """A server whose runs execute every shot: a run of many shots
+    outlasts the requests that follow its START."""
+    srv = DeviceServer(HW, wiring=PerShotLoopback(), seed=1234).start()
     yield srv
     srv.stop()
 
@@ -420,9 +444,9 @@ class TestMemoryAccess:
             with pytest.raises(TransportError, match="bad range"):
                 client.read_acc(HW.n_processing_elements_up, 1)
 
-    def test_write_while_idle_only(self, server):
+    def test_write_while_idle_only(self, per_shot_server):
         prog = readout_program()
-        with make_client(server) as client:
+        with make_client(per_shot_server) as client:
             client.upload_program(prog)
             client.write_control(REG_SHOTS, 2000)
             client._request(OP_START)
@@ -471,9 +495,9 @@ class TestExecution:
             done, _ = client.wait()
             assert 1 <= done < 100_000
 
-    def test_start_while_running_rejected(self, server):
+    def test_start_while_running_rejected(self, per_shot_server):
         prog = readout_program(n_reads=4)
-        with make_client(server) as client:
+        with make_client(per_shot_server) as client:
             client.upload_program(prog)
             client.start(100_000)
             with pytest.raises(TransportError, match="bad state"):
@@ -680,6 +704,54 @@ class TestExecution:
             assert np.array_equal(remote.acq, local.acq)
 
 
+class TestRunThread:
+    def test_runs_share_one_resident_thread(self, server):
+        prog = readout_program()
+        local = simulate_program(prog, wiring=Loopback(), shots=2, seed=1234)
+        with make_client(server) as client:
+            client.run_program(prog, 2)
+            worker, threads = server._run_thread, threading.active_count()
+            results = [client.run_program(prog, 2) for _ in range(20)]
+            assert threading.active_count() == threads
+        assert server._run_thread is worker and worker.is_alive()
+        for result in results:
+            assert all(np.array_equal(result.acc[e], local.acc[e]) for e in local.acc)
+
+    def test_run_thread_outlives_a_failed_run(self, server, monkeypatch, caplog):
+        prog = readout_program()
+
+        def fail(state):
+            raise MemoryError("no room for the shot")
+
+        with make_client(server) as client:
+            monkeypatch.setattr(dspsim._ShotState, "execute", fail)
+            failed = client.run_program(prog, 2)
+            monkeypatch.undo()
+            result = client.run_program(prog, 2)
+        assert (failed.shots_completed, failed.fault_count) == (0, 1)
+        assert device_log(caplog) == ["run aborted: no room for the shot"]
+        local = simulate_program(prog, wiring=Loopback(), shots=2, seed=1234)
+        assert all(np.array_equal(result.acc[e], local.acc[e]) for e in local.acc)
+
+    def test_stop_ends_an_idle_run_thread(self):
+        srv = DeviceServer(HW, wiring=Loopback(), seed=1).start()
+        _, seconds = timed(srv.stop)
+        assert seconds < 2.0
+        assert not srv._thread.is_alive() and not srv._run_thread.is_alive()
+
+    def test_run_program_writes_one_control_block(self, server):
+        prog = readout_program(n_reads=2)
+        acq = AcqConfig(tap="dlo", unit=HW.n_processing_elements_up, length=100)
+        with make_client(server) as client:
+            client.run_program(prog, 3, acq=acq)
+            registers = client.read_region(REGION_CONTROL, 0, 0, REG_ENVELOPE_DEPTH)
+        # ACC_CLEAR acts on the write and holds nothing
+        assert registers == [
+            3, 0, ACQ_TAPS.index("dlo"), acq.unit, acq.length,
+            prog.image.repeat_cycles, len(prog.image.commands),
+        ]
+
+
 class RecordingTransport:
     """Passes datagrams on (when ``inner`` is set) and records each request."""
 
@@ -775,9 +847,7 @@ class TestResidentEnvelopes:
         assert client.transport.sent == [
             (OP_WRITE, REGION_COMMAND, 0),
             (OP_READ, REGION_ENVELOPE_CRC, 0),
-            (OP_WRITE, REGION_CONTROL, 0),  # REPEAT_CYCLES, N_COMMANDS
-            (OP_WRITE, REGION_CONTROL, 0),  # ACC_CLEAR .. ACQ_LEN
-            (OP_WRITE, REGION_CONTROL, 0),  # SHOTS
+            (OP_WRITE, REGION_CONTROL, 0),  # SHOTS .. N_COMMANDS
             (OP_START, 0, 0),
             (OP_STATUS, 0, 0),  # answered when the run ends
             (OP_READ, REGION_ACC, HW.n_processing_elements_up),
@@ -912,6 +982,33 @@ class TestLongPoll:
         assert seconds < 2.0
         assert not srv._thread.is_alive() and not srv._run_thread.is_alive()
 
+    def test_stop_during_a_long_poll_of_a_per_shot_run(self, monkeypatch):
+        # every shot executes and takes 20 ms, so the run lasts about 20 s
+        execute = dspsim._ShotState.execute
+        monkeypatch.setattr(
+            dspsim._ShotState, "execute", lambda state: (execute(state), time.sleep(0.02))
+        )
+        srv = DeviceServer(HW, wiring=PerShotLoopback(), seed=1).start()
+        try:
+            with make_client(srv, timeout=2.0) as client:
+                client.upload_program(readout_program())
+                client.clear_acc()
+                client.start(1000)
+                answers = []
+                held = threading.Thread(
+                    target=lambda: answers.append(client.status(60_000)), daemon=True
+                )
+                held.start()
+                time.sleep(0.2)  # the server now holds the poll
+                _, seconds = timed(srv.stop)
+                held.join(2.0)
+        finally:
+            srv.stop()
+        assert seconds < 2.0
+        (running, done, _), = answers
+        assert not running and 1 <= done < 1000
+        assert not srv._thread.is_alive() and not srv._run_thread.is_alive()
+
 
 # ---------------------------------------------------------------------------
 # Transport faults
@@ -1028,14 +1125,17 @@ class TestFaultTolerance:
 # Wire fuzzing
 
 _FAULTS = (None, None, None, "truncate", "magic", "crc")
+# REPEAT_CYCLES values: small, or beyond the bound (a START then answers
+# BAD_RANGE); never a large value a START would run
+_REPEAT_VALUES = st.integers(0, 8) | st.integers(MAX_REPEAT_CYCLES + 1, 2**32 - 1)
 
 
 @st.composite
 def wire_datagrams(draw):
     """One datagram and whether it is malformed: a valid packet with
-    arbitrary fields (CONTROL writes hold small values, and a STATUS a
-    small budget, so every run and wait stays short), or a truncated,
-    bad-magic or bad-CRC one."""
+    arbitrary fields (CONTROL writes hold small values, or REPEAT_CYCLES
+    beyond its bound, and a STATUS a small budget, so every run and wait
+    stays short), or a truncated, bad-magic or bad-CRC one."""
     op = draw(st.sampled_from([0, OP_WRITE, OP_WRITE, OP_READ, OP_START, OP_STOP, OP_STATUS, 9]))
     region = draw(
         st.sampled_from(
@@ -1046,8 +1146,13 @@ def wire_datagrams(draw):
     word = cmdcodec.COMMAND_BYTES if region == REGION_COMMAND else 4
     # up to every writable register at once
     n_words = draw(st.integers(0, 7 if region == REGION_CONTROL else 4))
+    offset = draw(st.one_of(st.integers(0, 7), st.integers(0, 2**32 - 1)))
     if region == REGION_CONTROL:
-        payload = b"".join(draw(st.integers(0, 8)).to_bytes(4, "big") for _ in range(n_words))
+        values = [
+            draw(_REPEAT_VALUES if reg == REG_REPEAT_CYCLES else st.integers(0, 8))
+            for reg in range(offset, offset + n_words)
+        ]
+        payload = b"".join(v.to_bytes(4, "big") for v in values)
     else:
         size = n_words * word + draw(st.sampled_from([0, 0, 0, 1, 3]))
         payload = draw(st.binary(min_size=size, max_size=size))
@@ -1061,7 +1166,7 @@ def wire_datagrams(draw):
         region=region,
         unit=draw(st.integers(0, 24)),
         status=draw(st.integers(0, 255)),
-        offset=draw(st.one_of(st.integers(0, 7), st.integers(0, 2**32 - 1))),
+        offset=offset,
         count=count,
         payload=payload,
     )
@@ -1125,3 +1230,23 @@ class TestWireFuzz:
         assert wire_server.dropped == dropped
         assert wire_server._thread.is_alive()
         assert crashed == []
+
+    @given(
+        repeat=st.integers(MAX_REPEAT_CYCLES + 1, 2**32 - 1),
+        shots=st.integers(0, 8),
+        n_commands=st.integers(0, 8),
+    )
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_repeat_cycles_beyond_bound_answered_bad_range(
+        self, wire_server, repeat, shots, n_commands
+    ):
+        with make_client(wire_server) as client:
+            client.wait()  # idle, so only the range check can refuse the START
+            client.write_region(
+                REGION_CONTROL, 0, REG_SHOTS, [shots, 0, 0, 0, 0, repeat, n_commands]
+            )
+            with pytest.raises(TransportError, match="bad range"):
+                client._request(OP_START)
+            assert not client.status()[0]  # the refused START runs nothing
+            client.write_control(REG_REPEAT_CYCLES, 1)
+        assert wire_server._thread.is_alive() and wire_server._run_thread.is_alive()

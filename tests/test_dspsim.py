@@ -13,9 +13,11 @@ from qubicforge import dspsim
 from qubicforge.cmdcodec import PHASE_WORD_BITS, CommandFields, decode, encode
 from qubicforge.dspsim import (
     FULL_SCALE,
+    MAX_REPEAT_CYCLES,
     AcqConfig,
     External,
     Loopback,
+    OpenLoop,
     ProgramImage,
     Simulator,
     StateClassifier,
@@ -766,3 +768,101 @@ class TestSynthesisOnce:
         for pair in range(HW.n_dac_pairs):
             assert np.array_equal(res.dac[pair], dac[pair])
         assert [(f.shot, f.element, f.kind, f.detail) for f in res.fault_log] == faults
+
+
+# ---------------------------------------------------------------------------
+# Shot-invariant execution
+
+
+class PerShotLoopback(Loopback):
+    """``Loopback`` that does not declare itself deterministic, so every
+    shot of a run executes."""
+
+    deterministic = False
+
+
+def unconditional(image):
+    """``image`` with the condition bit of every command cleared."""
+    fields = [decode(w)._replace(condition=0) for w in image.commands]
+    return ProgramImage([encode(c) for c in fields], image.envelopes, image.repeat_cycles)
+
+
+class TestShotInvariance:
+    @given(
+        image=window_images(),
+        conditional=st.booleans(),
+        shots=st.integers(1, 5),
+        delay=st.sampled_from([0, 3]),
+        tap=st.sampled_from([("adc", 0), ("adc", 1), ("dac", 0), ("dlo", 16), ("dlo", 17)]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_replayed_shots_equal_executed_shots(self, image, conditional, shots, delay, tap):
+        if not conditional:
+            image = unconditional(image)
+        acq = AcqConfig(tap=tap[0], unit=tap[1], length=image.repeat_cycles * HW.samples_per_cycle)
+        replayed = Simulator(HW, wiring=Loopback(delay)).run(image, shots=shots, acq=acq)
+        executed = Simulator(HW, wiring=PerShotLoopback(delay)).run(image, shots=shots, acq=acq)
+        assert replayed.shots_completed == executed.shots_completed == shots
+        assert set(replayed.acc) == set(executed.acc)
+        for element in executed.acc:
+            assert np.array_equal(replayed.acc[element], executed.acc[element])
+        assert np.array_equal(replayed.acq, executed.acq)
+        assert set(replayed.dac) == set(executed.dac)
+        for pair in executed.dac:
+            assert np.array_equal(replayed.dac[pair], executed.dac[pair])
+        assert replayed.fault_log == executed.fault_log  # shot numbers included
+        assert replayed.saturation_count == executed.saturation_count
+        assert replayed.flags == executed.flags
+
+    def test_envelope_faults_repeat_with_each_shot_number(self):
+        depth = HW.envelope_buffer_depth
+        image = ProgramImage(
+            commands=[up_cmd(start=depth - 16, length=32)], envelopes={}, repeat_cycles=8
+        )
+        res = Simulator(HW, wiring=Loopback()).run(image, shots=3)
+        assert [(f.shot, f.kind) for f in res.fault_log] == [(k, "envelope_oob") for k in range(3)]
+        assert len({id(f) for f in res.fault_log}) == 3
+
+    @staticmethod
+    def executions(monkeypatch):
+        calls = []
+        execute = dspsim._ShotState.execute
+        monkeypatch.setattr(
+            dspsim._ShotState, "execute", lambda state: calls.append(state.shot) or execute(state)
+        )
+        return calls
+
+    @pytest.mark.parametrize("wiring", [Loopback(0), OpenLoop()], ids=["loopback", "open_loop"])
+    def test_unconditional_run_executes_one_shot(self, monkeypatch, wiring):
+        calls = self.executions(monkeypatch)
+        res = Simulator(HW, wiring=wiring).run(TestConditionalGating().make_image(0), shots=6)
+        assert res.shots_completed == 6
+        assert calls == [0]
+
+    def test_conditional_run_executes_every_shot(self, monkeypatch):
+        calls = self.executions(monkeypatch)
+        res = Simulator(HW, wiring=Loopback(0)).run(TestConditionalGating().make_image(1), shots=6)
+        assert res.shots_completed == 6
+        assert calls == list(range(6))
+
+    def test_external_wiring_executes_every_shot(self, monkeypatch):
+        calls = self.executions(monkeypatch)
+        wiring = External(TestConditionalGating.injecting(0))
+        res = Simulator(HW, wiring=wiring).run(TestConditionalGating().make_image(0), shots=6)
+        assert res.shots_completed == 6
+        assert calls == list(range(6))
+
+
+class TestRepeatBound:
+    def test_bound_is_the_longest_command_reach(self):
+        # a window of the longest length, triggered on the last cycle, at
+        # one sample per cycle
+        assert MAX_REPEAT_CYCLES == (2**24 - 1) + (2**12 - 1)
+
+    def test_bound_accepted(self):
+        assert ProgramImage((), {}, MAX_REPEAT_CYCLES).repeat_cycles == MAX_REPEAT_CYCLES
+
+    @pytest.mark.parametrize("cycles", [MAX_REPEAT_CYCLES + 1, 2**32 - 1])
+    def test_beyond_bound_rejected(self, cycles):
+        with pytest.raises(SimulationError, match=f"repeat_cycles {cycles} exceeds"):
+            ProgramImage((), {}, cycles)
