@@ -57,15 +57,15 @@ EXIT_VERIFY = 5
 
 
 def _resolve_seed(value):
-    if value is not None:
-        return value
-    env = os.environ.get("QUBIC_FORGE_SEED")
-    if env is not None:
+    if value is None:
+        env = os.environ.get("QUBIC_FORGE_SEED")
         try:
-            return int(env)
+            value = 0 if env is None else int(env)
         except ValueError:
             raise ConfigError(f"QUBIC_FORGE_SEED={env!r} is not an integer")
-    return 0
+    if value < 0:
+        raise ConfigError(f"seed {value} is negative")
+    return value
 
 
 def _load_stack(args):
@@ -233,11 +233,10 @@ def _model_from_args(args) -> MockQubitModel:
 def _cmd_rb(args):
     model = _model_from_args(args)
     seed = _resolve_seed(args.seed)
-    lengths = [int(x) for x in args.lengths.split(",") if x.strip()]
     if args.two_qubit:
-        result = rb_experiment_2q(model, lengths, args.sequences, args.shots, seed)
+        result = rb_experiment_2q(model, args.lengths, args.sequences, args.shots, seed)
     else:
-        result = rb_experiment(model, lengths, args.sequences, args.shots, seed)
+        result = rb_experiment(model, args.lengths, args.sequences, args.shots, seed)
     os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, args.name + ".json")
     with open(json_path, "w") as fh:
@@ -311,6 +310,21 @@ def _cmd_dump_tp(args):
 # Parser
 
 
+def _int_list(text):
+    """Comma-separated integers; empty items are skipped."""
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers")
+
+
+def _port(text):
+    port = int(text)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"port {port} is not in 0..65535")
+    return port
+
+
 class _Parser(argparse.ArgumentParser):
     # the documented usage-error exit code is 1, not argparse's 2
     def error(self, message):
@@ -368,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="run the UDP device emulator")
     p.add_argument("--hardware", help="hardware config JSON path")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=9100)
+    p.add_argument("--port", type=_port, default=9100)
     p.add_argument("--loopback-delay", type=int, default=0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
@@ -379,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, require_circuit=False)
     p.add_argument("--program", help="compiled program binary (.qfpb)")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=9100)
+    p.add_argument("--port", type=_port, default=9100)
     p.add_argument("--shots", type=int, default=1)
     p.add_argument("--timeout", type=float, default=0.1)
     p.add_argument("--retries", type=int, default=3)
@@ -387,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_flags(p, "run")
 
     p = sub.add_parser("rb", help="randomized benchmarking on the mock model")
-    p.add_argument("--lengths", default="2,4,8,16,32,64,128,256")
+    p.add_argument("--lengths", type=_int_list, default="2,4,8,16,32,64,128,256")
     p.add_argument("--sequences", type=int, default=20)
     p.add_argument("--shots", type=int, default=500)
     p.add_argument("--seed", type=int, default=None)

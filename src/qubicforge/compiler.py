@@ -672,7 +672,9 @@ def lower_to_nv(
 ):
     """Quantize TimePulses into commands and envelope buffers.
 
-    Commands come out sorted by element, then by their 128-bit word.
+    Commands come out sorted by element, then by ``trig_t`` (the
+    least significant field of the 128-bit word), then by the other
+    fields from the word's most significant down.
     """
 
     def chmap_lookup(dest, what):
@@ -742,8 +744,8 @@ def lower_to_nv(
             )
         )
 
-    # Within an element, fields in the order of their significance in
-    # the 128-bit word, so commands sort as their words do.
+    # Within an element, trig_t first, so each element plays in time
+    # order, then the other fields by their significance in the word.
     commands.sort(key=_WORD_ORDER)
     commands = tuple(commands)
     if len(commands) > hw.command_buffer_depth:

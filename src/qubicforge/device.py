@@ -52,7 +52,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cmdcodec
-from .dspsim import ACQ_TAPS, AcqConfig, ProgramImage, RunBuffers, Simulator, acc_windows
+from .dspsim import ACQ_TAPS, MAX_REPEAT_CYCLES, AcqConfig, RunBuffers, Simulator, acc_windows
 from .envgen import iq_lanes, u32_array
 from .errors import EncodingError, SimulationError, TransportError
 
@@ -482,15 +482,8 @@ class DeviceServer:
         if self.running:
             return self._status_reply(request, STATUS_BAD_STATE)
         n_cmds = self.control[REG_N_COMMANDS]
-        if n_cmds > len(self.commands):
-            return self._status_reply(request, STATUS_BAD_RANGE)
-        try:
-            image = ProgramImage(
-                commands=tuple(self.commands[:n_cmds]),
-                envelopes={},
-                repeat_cycles=max(1, self.control[REG_REPEAT_CYCLES]),
-            )
-        except SimulationError:  # REPEAT_CYCLES beyond MAX_REPEAT_CYCLES
+        repeat_cycles = max(1, self.control[REG_REPEAT_CYCLES])
+        if n_cmds > len(self.commands) or repeat_cycles > MAX_REPEAT_CYCLES:
             return self._status_reply(request, STATUS_BAD_RANGE)
         acq_len = self.control[REG_ACQ_LEN]
         acq_cfg = None
@@ -504,7 +497,7 @@ class DeviceServer:
         try:
             # Validate the program, and copy the envelope memory it reads,
             # before confirming the start.
-            prepared = self.sim.prepare(image, envelopes=self.envelopes)
+            prepared = self.sim.prepare(self.commands[:n_cmds], repeat_cycles, self.envelopes)
         except SimulationError as exc:
             logger.warning("start rejected: %s", exc)
             return self._status_reply(request, STATUS_BAD_STATE)

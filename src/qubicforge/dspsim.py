@@ -112,6 +112,14 @@ def cordic_cos_sin(turn_words) -> tuple:
     return cos, sin
 
 
+def _padded(rows, n, dtype=np.int64):
+    """The first ``n`` of ``rows`` in a new array, zero-filled to ``n``."""
+    rows = np.asarray(rows[:n], dtype=dtype)
+    out = np.zeros((n,) + rows.shape[1:], dtype=dtype)
+    out[: len(rows)] = rows
+    return out
+
+
 def _per_sample(values, lengths):
     """Repeat each window's value once per sample of the window."""
     return np.repeat(np.asarray(values, dtype=np.int64), lengths)
@@ -155,12 +163,14 @@ class ProgramImage:
             "envelopes",
             {int(e): _envelope_words(e, ws) for e, ws in self.envelopes.items()},
         )
-        if self.repeat_cycles < 1:
-            raise SimulationError("repeat_cycles must be at least 1")
-        if self.repeat_cycles > MAX_REPEAT_CYCLES:
-            raise SimulationError(
-                f"repeat_cycles {self.repeat_cycles} exceeds {MAX_REPEAT_CYCLES}"
-            )
+        _check_period(self.repeat_cycles)
+
+
+def _check_period(repeat_cycles):
+    if repeat_cycles < 1:
+        raise SimulationError("repeat_cycles must be at least 1")
+    if repeat_cycles > MAX_REPEAT_CYCLES:
+        raise SimulationError(f"repeat_cycles {repeat_cycles} exceeds {MAX_REPEAT_CYCLES}")
 
 
 def _envelope_words(element, words) -> tuple:
@@ -173,18 +183,23 @@ def _envelope_words(element, words) -> tuple:
 
 @dataclass(frozen=True)
 class PreparedProgram:
-    """A validated image, from ``Simulator.prepare``.
+    """A validated program, from ``Simulator.prepare``.
 
     ``events`` holds the shot's windows in execution order, not yet
-    synthesized; ``envelopes`` holds the envelope memory of each up
-    element they address, zero past depth; ``windows`` maps each down
-    element with commands to the accumulator entries one shot appends.
+    synthesized; ``envelopes`` holds a copy of the envelope memory of
+    each up element they address, as far as they read and zero past
+    depth; ``windows`` maps each down element with commands, in the
+    order of its first command, to the accumulator entries one shot
+    appends.  ``window_end`` is the sample where the last window ends:
+    a shot holds DAC and DLO samples up to it, and everything after it
+    up to ``shot_samples`` reads as zeros.
     """
 
     shot_samples: int
     windows: dict
     events: tuple
     envelopes: dict
+    window_end: int
 
 
 class _Window(NamedTuple):
@@ -413,102 +428,77 @@ class Simulator:
 
     # -- program loading ----------------------------------------------------
 
-    def prepare(self, image: ProgramImage, envelopes=None) -> PreparedProgram:
-        """Decode and validate ``image`` once for every shot that runs it.
+    def prepare(self, commands, repeat_cycles, envelopes) -> PreparedProgram:
+        """Decode and validate a program once for every shot that runs it.
 
-        ``envelopes``, when given, is the envelope memory read in place of
-        ``image.envelopes``; the result copies what its commands address
-        and holds no reference to either.  Raises SimulationError for an
-        image that could not execute.
+        One pass over the 128-bit ``commands`` checks each word in turn;
+        a SimulationError names the lowest faulty command, or a period
+        outside [1, MAX_REPEAT_CYCLES].  ``envelopes`` maps an up element
+        to its 32-bit words; the result copies those its commands read.
         """
         hw = self.hw
-        if len(image.commands) > hw.command_buffer_depth:
+        _check_period(repeat_cycles)
+        if len(commands) > hw.command_buffer_depth:
             raise SimulationError(
-                f"{len(image.commands)} commands exceed buffer depth {hw.command_buffer_depth}"
+                f"{len(commands)} commands exceed buffer depth {hw.command_buffer_depth}"
             )
-        spc = hw.samples_per_cycle
-        shot_samples = image.repeat_cycles * spc
-        decoded = []
-        for pos, word in enumerate(image.commands):
+        spc, depth = hw.samples_per_cycle, hw.envelope_buffer_depth
+        shot_samples = repeat_cycles * spc
+        keyed = []  # (execution order key, window)
+        last = {}  # element -> (its last trig_t, end of its busy span)
+        reach = {}  # up element -> end of its furthest envelope read
+        windows = Counter()
+        for pos, word in enumerate(commands):
             try:
-                decoded.append(cmdcodec.decode(word))
+                cmd = cmdcodec.decode(word)
             except EncodingError as exc:
                 raise SimulationError(f"command {pos}: {exc}") from None
-        per_element = {}
-        for pos, cmd in enumerate(decoded):
-            if cmd.element >= hw.n_elements:
-                raise SimulationError(f"command {pos}: element {cmd.element} out of range")
+            element = cmd.element
+            if element >= hw.n_elements:
+                raise SimulationError(f"command {pos}: element {element} out of range")
             if cmd.destination >= hw.n_dac_pairs:
                 raise SimulationError(
                     f"command {pos}: destination {cmd.destination} out of range "
                     f"(n_dac_pairs={hw.n_dac_pairs})"
                 )
             n0 = cmd.trig_t * spc
-            if n0 + cmd.length > shot_samples:
+            end = n0 + cmd.length
+            if end > shot_samples:
                 raise SimulationError(
-                    f"command {pos}: window ends at sample {n0 + cmd.length}, "
+                    f"command {pos}: window ends at sample {end}, "
                     f"beyond the {shot_samples}-sample repeat period"
                 )
-            per_element.setdefault(cmd.element, []).append((pos, cmd))
-
-        for element, cmds in per_element.items():
-            last_end = -1
-            prev_trig = -1
-            for pos, cmd in cmds:
-                if cmd.trig_t < prev_trig:
-                    raise SimulationError(
-                        f"element {element}: trig_t decreases at command {pos}"
-                    )
-                n0 = cmd.trig_t * spc
-                if n0 < last_end:
-                    raise SimulationError(
-                        f"element {element}: command {pos} triggers while busy"
-                    )
-                last_end = max(last_end, n0 + cmd.length)
-                prev_trig = cmd.trig_t
-            if any(cmd.condition for _, cmd in cmds) and self.condition_map.get(element) is None:
+            prev_trig, busy_until = last.get(element, (-1, -1))
+            if cmd.trig_t < prev_trig:
+                raise SimulationError(f"element {element}: trig_t decreases at command {pos}")
+            if n0 < busy_until:
+                raise SimulationError(f"element {element}: command {pos} triggers while busy")
+            last[element] = (cmd.trig_t, max(busy_until, end))
+            source = self.condition_map.get(element) if cmd.condition else None
+            if cmd.condition and source is None:
                 raise SimulationError(
                     f"element {element} has a conditional command but no flag source"
                 )
-
-        # Execution order: down-window completions first on a given
-        # cycle, so a conditional command triggering on that cycle sees
-        # the flag.  A zero-length up window emits nothing and is dropped.
-        order = []
-        for element, cmds in per_element.items():
-            up = hw.element_direction(element) == "up"
-            for pos, cmd in cmds:
-                if not up:
-                    order.append((cmd.trig_t + -(-cmd.length // spc), 0, element, pos))
-                elif cmd.length:
-                    order.append((cmd.trig_t, 1, element, pos))
-        order.sort()
-        depth = hw.envelope_buffer_depth
-        events = []
-        reach = {}  # up element -> end of its furthest envelope read
-        for _, up, element, pos in order:
-            cmd = decoded[pos]
-            end = cmd.start + cmd.length
-            fault = None
-            if up:
-                reach[element] = max(reach.get(element, 0), end)
-                if end > depth:
-                    fault = f"read [{cmd.start}, {end}) beyond depth {depth}; zeros emitted"
-            source = self.condition_map[element] if cmd.condition else None
-            events.append(_Window(bool(up), cmd, cmd.trig_t * spc, source, fault))
-
-        if envelopes is None:
-            envelopes = image.envelopes
-        memory = {}
-        for element, n in reach.items():
-            stored = envelopes.get(element, ())[: min(n, depth)]
-            memory[element] = np.zeros(n, dtype=np.int64)
-            memory[element][: len(stored)] = stored
+            # Down windows complete first on a cycle, so a conditional
+            # command triggering on that cycle sees the flag.
+            if element >= hw.n_processing_elements_up:
+                windows[element] += 1
+                done = cmd.trig_t + -(-cmd.length // spc)
+                keyed.append((done, 0, element, pos, _Window(False, cmd, n0, source, None)))
+            elif cmd.length:  # a zero-length up window emits nothing
+                read_end = cmd.start + cmd.length
+                reach[element] = max(reach.get(element, 0), read_end)
+                fault = None
+                if read_end > depth:
+                    fault = f"read [{cmd.start}, {read_end}) beyond depth {depth}; zeros emitted"
+                keyed.append((cmd.trig_t, 1, element, pos, _Window(True, cmd, n0, source, fault)))
+        keyed.sort()  # positions are distinct, so no two keys tie
         return PreparedProgram(
             shot_samples=shot_samples,
-            windows=acc_windows(decoded, hw.n_processing_elements_up),
-            events=tuple(events),
-            envelopes=memory,
+            windows=windows,
+            events=tuple(k[-1] for k in keyed),
+            envelopes={e: _padded(envelopes.get(e, ())[:depth], n) for e, n in reach.items()},
+            window_end=max((busy for _, busy in last.values()), default=0),
         )
 
     def _synthesize(self, prepared):
@@ -597,8 +587,13 @@ class Simulator:
     def run(
         self, image: ProgramImage, shots: int = 1, acq: AcqConfig = None, seed=None
     ) -> SimResult:
-        """Execute ``shots`` repetitions and collect the result buffers."""
-        prepared = self.prepare(image)
+        """Execute ``shots`` repetitions and collect the result buffers.
+
+        ``SimResult.dac`` holds the final shot's DAC pairs over the whole
+        repeat period."""
+        if shots < 0:
+            raise SimulationError(f"shots must be >= 0, got {shots}")
+        prepared = self.prepare(image.commands, image.repeat_cycles, image.envelopes)
         if acq is not None and acq.length > self.hw.acq_buffer_depth:
             raise SimulationError(
                 f"acquisition length {acq.length} exceeds depth {self.hw.acq_buffer_depth}"
@@ -611,6 +606,10 @@ class Simulator:
         last = None  # the final shot supplies dac and flags
         for last in self.shots(prepared, shots, out, acq=acq, seed=seed):
             fault_log.extend(last.faults)
+        dac = {}
+        if last is not None:  # dense over the period, saturated
+            for pair in last.dac_sum:
+                dac[pair] = last._dac_read(pair, 0, prepared.shot_samples).astype(np.int32)
 
         return SimResult(
             shots_requested=shots,
@@ -618,7 +617,7 @@ class Simulator:
             acc={e: np.array(v, dtype=np.int64).reshape(-1, 2) for e, v in out.acc.items()},
             acq=out.acq,
             acq_config=acq if acq else AcqConfig(length=0),
-            dac=last.saturated_dac() if last else {},
+            dac=dac,
             saturation_count=out.saturation_count,
             fault_log=fault_log,
             flags=dict(last.flags) if last else {},
@@ -635,18 +634,21 @@ class _ShotState:
         self.faults = []
         self.shot_samples = prepared.shot_samples
         self.events = events
-        hw = sim.hw
+        # no window writes past window_end, so the buffers stop there
+        self.window_end = prepared.window_end
         self.dac_sum = {
-            p: np.zeros((self.shot_samples, 2), dtype=np.int64) for p in range(hw.n_dac_pairs)
+            p: np.zeros((self.window_end, 2), dtype=np.int64) for p in range(sim.hw.n_dac_pairs)
         }
         self.dlo_tap = {}
         self.flags = {}
         self.entries = {e: [] for e in prepared.windows}  # this shot's accumulator entries
 
-    # Saturated view of a DAC pair over [lo, hi).
     def _dac_read(self, pair, lo, hi):
-        seg = self.dac_sum[pair][lo:hi]
-        return np.clip(seg, -FULL_SCALE, FULL_SCALE)
+        """Saturated view of a DAC pair over [lo, hi) of the period, sliced
+        as a dense array of the period would be: zeros past window_end."""
+        lo, hi, _ = slice(lo, hi).indices(self.shot_samples)
+        seg = np.clip(self.dac_sum[pair][lo:hi], -FULL_SCALE, FULL_SCALE)
+        return seg if len(seg) >= hi - lo else _padded(seg, hi - lo)
 
     def execute(self):
         for w in self.events:
@@ -667,7 +669,7 @@ class _ShotState:
             self.shot, w.cmd.destination, w.n0, n1, self._dac_read, self.rng
         )
         if element not in self.dlo_tap:
-            self.dlo_tap[element] = np.zeros((self.shot_samples, 2), dtype=np.int64)
+            self.dlo_tap[element] = np.zeros((self.window_end, 2), dtype=np.int64)
         self.dlo_tap[element][w.n0 : n1] = w.samples
         ci, cq = w.samples.T.astype(np.int64)
         ai = adc[:, 0]
@@ -696,27 +698,18 @@ class _ShotState:
             count += int(np.count_nonzero(np.abs(arr) > FULL_SCALE))
         return count
 
-    def saturated_dac(self):
-        return {
-            p: np.clip(arr, -FULL_SCALE, FULL_SCALE).astype(np.int32)
-            for p, arr in self.dac_sum.items()
-        }
-
     def capture(self, acq: AcqConfig):
+        hw = self.sim.hw
         n = min(acq.length, self.shot_samples)
-        out = np.zeros((acq.length, 2), dtype=np.int32)
+        if acq.tap == "dlo":
+            if hw.n_processing_elements_up <= acq.unit < hw.n_elements:
+                tap = self.dlo_tap.get(acq.unit, np.zeros((0, 2), dtype=np.int64))
+                return _padded(tap, acq.length, np.int32)
+            raise SimulationError(f"no down element {acq.unit}")
+        if not 0 <= acq.unit < hw.n_dac_pairs:
+            raise SimulationError(f"no {acq.tap.upper()} pair {acq.unit}")
         if acq.tap == "dac":
-            if acq.unit not in self.dac_sum:
-                raise SimulationError(f"no DAC pair {acq.unit}")
-            out[:n] = self._dac_read(acq.unit, 0, n)
-        elif acq.tap == "adc":
-            if acq.unit >= self.sim.hw.n_dac_pairs:
-                raise SimulationError(f"no ADC pair {acq.unit}")
-            adc = self.sim.wiring.read(self.shot, acq.unit, 0, n, self._dac_read, self.rng)
-            # the capture holds 16-bit I/Q, as an ACQ word does
-            out[:n] = np.clip(adc, -32768, 32767)
-        else:
-            tap = self.dlo_tap.get(acq.unit)
-            if tap is not None:
-                out[:n] = tap[:n]
-        return out
+            return _padded(self._dac_read(acq.unit, 0, n), acq.length, np.int32)
+        adc = self.sim.wiring.read(self.shot, acq.unit, 0, n, self._dac_read, self.rng)
+        # the capture holds 16-bit I/Q, as an ACQ word does
+        return _padded(np.clip(adc, -32768, 32767), acq.length, np.int32)

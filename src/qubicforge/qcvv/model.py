@@ -11,6 +11,7 @@ randomized compiling uses a 4x4 density matrix instead.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -48,6 +49,11 @@ class MockQubitModel:
     two_qubit_depol: float = 0.0
 
     def __post_init__(self):
+        # T1 and T2 may be infinite (no decay); every other value is finite
+        for name in ("drive_freq", "rabi_rate_per_unit_amp", "mu0", "mu1", "sigma_r", "delta"):
+            v = getattr(self, name)
+            if not cmath.isfinite(v):
+                raise AnalysisError(f"{name} = {v} is not finite")
         for name in ("eps01", "eps10", "p_dep", "two_qubit_depol"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -107,7 +107,7 @@ def fit_rb_decay(lengths, survival, survival_err=None):
         raise AnalysisError("need at least two (length, survival) points")
 
     mask = y > 1e-3
-    if mask.sum() >= 2:
+    if np.unique(m[mask]).size >= 2:  # a slope needs two distinct lengths
         slope, intercept = np.polyfit(m[mask], np.log(y[mask]), 1)
         p0 = float(np.clip(np.exp(slope), 1e-6, 1.0 - 1e-9))
         a0 = float(np.clip(np.exp(intercept), 1e-6, 1.9))
@@ -164,6 +164,10 @@ def _rb(d, draw, executor, lengths, sequences_per_length, shots, seed) -> RBResu
     probability.  Both take the experiment's one generator, in that
     order per sequence.
     """
+    if shots < 1 or sequences_per_length < 1:
+        raise AnalysisError("shots and sequences per length must be at least 1")
+    if min(lengths, default=0) < 0:
+        raise AnalysisError("sequence lengths must be >= 0")
     rng = np.random.default_rng(seed)
     means, errs = [], []
     for m in lengths:

@@ -292,8 +292,12 @@ def rc_harness(
     comparison carries equal statistical weight.
     """
     bare_circuits = list(bare_circuits)
+    if not bare_circuits:
+        raise AnalysisError("need at least one circuit")
     if variants < 1:
         raise AnalysisError("need at least one variant per circuit")
+    if shots < 1:
+        raise AnalysisError("shots must be at least 1")
     rng = np.random.default_rng(seed)
     timings = {name: 0.0 for name in STAGES}
 

@@ -546,6 +546,45 @@ BAD_NUMBERS = ["x", "", "nan", "inf", "-1", "1e400", "0x10", "9" * 400, "--no-de
 NUMERIC_FLAG = {"compile": "--repeat-time", "dump-tp": "--repeat-time", "dump-envelope": "--element"}
 
 
+# Small runs of rb, rc and simulate, and the values their count, seed
+# and model flags are given: malformed, zero, negative and non-finite,
+# never huge, since a huge count is a legal request for a long run.
+INT_VALUES = ["x", "", "0x10", "1.5", "nan", "0", "-1", "-5"]
+FLOAT_VALUES = ["x", "", "0", "-1", "-0.5", "nan", "inf", "-inf", "1e400"]
+SMALL_HEADS = {
+    "rb": (
+        ["rb"],
+        ["--lengths", "1,2", "--sequences", "2", "--shots", "20"],
+        {
+            "--lengths": ["2,x", "2,-4", "0", "0,0", "", ",", "2,,4", "nan", "2;4"],
+            **dict.fromkeys(["--sequences", "--shots", "--seed"], INT_VALUES),
+            **dict.fromkeys(["--p-dep", "--delta", "--two-qubit-depol"], FLOAT_VALUES),
+        },
+    ),
+    "rc": (
+        ["rc"],
+        ["--circuits", "2", "--depth", "2", "--variants", "2", "--shots", "20"],
+        {
+            **dict.fromkeys(
+                ["--circuits", "--depth", "--variants", "--shots", "--seed"], INT_VALUES
+            ),
+            **dict.fromkeys(["--p-dep", "--delta", "--two-qubit-depol"], FLOAT_VALUES),
+        },
+    ),
+    "simulate": (
+        ["simulate"],
+        ["--program", "{program}/program.qfpb", "--shots", "2", "--acq-length", "16"],
+        {
+            **dict.fromkeys(
+                ["--shots", "--seed", "--loopback-delay", "--acq-unit", "--acq-length"],
+                INT_VALUES,
+            ),
+            "--acq-tap": ["adc", "dac", "dlo", "x"],
+        },
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def flag_out(tmp_path_factory):
     return str(tmp_path_factory.mktemp("flags"))
@@ -585,6 +624,66 @@ class TestMalformedFlags:
             else:
                 flags[at:at] = [NUMERIC_FLAG[cmd], data.draw(st.sampled_from(BAD_NUMBERS))]
         assert main(head + flags) in range(6)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_count_and_model_flags_exit_with_a_documented_code(
+        self, compiled, flag_out, data
+    ):
+        cmd = data.draw(st.sampled_from(sorted(SMALL_HEADS)))
+        head, flags, values = SMALL_HEADS[cmd]
+        argv = [*head, "--out", flag_out] + [f.format(program=compiled) for f in flags]
+        for _ in range(data.draw(st.integers(1, 3))):
+            if data.draw(st.booleans()):
+                at = data.draw(st.integers(0, len(argv)))
+                argv.insert(at, data.draw(st.sampled_from(STRAY_FLAGS)))
+            else:
+                flag = data.draw(st.sampled_from(sorted(values)))
+                argv += [flag, data.draw(st.sampled_from(values[flag]))]
+        assert main(argv) in range(6)
+
+    @pytest.mark.parametrize("cmd", ["serve", "run"])
+    @pytest.mark.parametrize("port", ["70000", "65536", "-1", "x", "", "nan", "1.5"])
+    def test_bad_port_is_a_usage_error(self, compiled, flag_out, cmd, port, capsys):
+        head = {
+            "serve": ["serve", "--duration", "0"],
+            "run": ["run", "--program", str(compiled / "program.qfpb"), "--out", flag_out],
+        }[cmd]
+        assert main([*head, "--port", port]) == 1
+        assert "argument --port" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tap, unit", [("adc", "-1"), ("dlo", "99"), ("dlo", "0")])
+    def test_capture_of_a_missing_unit_is_a_simulation_failure(
+        self, compiled, flag_out, tap, unit, capsys
+    ):
+        argv = ["simulate", "--program", str(compiled / "program.qfpb"), "--out", flag_out,
+                "--acq-tap", tap, "--acq-unit", unit, "--acq-length", "16"]
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("verification failure: no ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rb", "--lengths", "2,-4"], "sequence lengths must be >= 0"),
+            (["rb", "--shots", "0"], "shots and sequences per length must be at least 1"),
+            (["rb", "--sequences", "0"], "shots and sequences per length must be at least 1"),
+            (["rb", "--delta", "inf"], "delta = inf is not finite"),
+            (["rc", "--shots", "-5"], "shots must be at least 1"),
+            (["rc", "--circuits", "0"], "need at least one circuit"),
+            (["rc", "--delta", "nan"], "delta = nan is not finite"),
+            (["simulate", "--shots", "-3"], "shots must be >= 0, got -3"),
+        ],
+    )
+    def test_meaningless_counts_rejected(self, compiled, flag_out, argv, message, capsys):
+        if argv[0] == "simulate":
+            argv = [*argv, "--program", str(compiled / "program.qfpb")]
+        assert main([*argv, "--out", flag_out]) == 5
+        assert message in capsys.readouterr().err
+
+    def test_malformed_length_list_is_a_usage_error(self, flag_out, capsys):
+        assert main(["rb", "--lengths", "2,x", "--out", flag_out]) == 1
+        assert "argument --lengths" in capsys.readouterr().err
 
     def test_removed_no_dedup_flag_is_a_usage_error(self, configs, capsys):
         assert main(["dump-tp", *config_args(configs), "--no-dedup"]) == 1

@@ -4,6 +4,7 @@ import json
 import socket
 import threading
 import time
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -633,6 +634,13 @@ class TestExecution:
         assert (remote.shots_completed, remote.fault_count) == (0, 1)
         assert device_log(caplog) == ["run aborted: no ADC pair 9"]
 
+    def test_dlo_capture_of_an_up_element_aborts(self, server, caplog):
+        acq = AcqConfig(tap="dlo", unit=0, length=64)
+        with make_client(server) as client:
+            remote = client.run_program(readout_program(), 2, acq=acq)
+        assert (remote.shots_completed, remote.fault_count) == (0, 1)
+        assert device_log(caplog) == ["run aborted: no down element 0"]
+
     def test_fault_count_is_per_start(self, server):
         prog = image_program(faulty_image(HW))
         local = simulate_program(prog, wiring=Loopback(), shots=2, seed=1234)
@@ -753,15 +761,18 @@ class TestRunThread:
 
 
 class RecordingTransport:
-    """Passes datagrams on (when ``inner`` is set) and records each request."""
+    """Passes datagrams on (when ``inner`` is set) and records each request
+    and its seq."""
 
     def __init__(self, inner):
         self.inner = inner
         self.sent = []
+        self.seqs = []
 
     def send(self, data):
         p = decode_packet(data)
         self.sent.append((p.op, p.region, p.unit))
+        self.seqs.append(p.seq)
         if self.inner is not None:
             self.inner.send(data)
 
@@ -805,6 +816,27 @@ def read_window_image(n_words):
         envelopes={0: (0x4000 << 16,) * n_words},
         repeat_cycles=32,
     )
+
+
+class TestLongPeriod:
+    def test_start_at_the_bound_holds_only_what_the_windows_reach(self, server):
+        # both windows end at sample 64, within the first microsecond
+        short = read_window_image(64)
+        shortest = ProgramImage(short.commands, short.envelopes, 64 // HW.samples_per_cycle)
+        longest = ProgramImage(short.commands, short.envelopes, MAX_REPEAT_CYCLES)
+        with make_client(server) as client:
+            expected = client.run_program(image_program(shortest), 2)
+            tracemalloc.start()
+            try:
+                remote = client.run_program(image_program(longest), 2)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert (remote.shots_completed, remote.fault_count) == (2, 0)
+        assert set(remote.acc) == set(expected.acc)
+        for element in expected.acc:
+            assert np.array_equal(remote.acc[element], expected.acc[element])
 
 
 class TestResidentEnvelopes:
@@ -958,7 +990,9 @@ class TestLongPoll:
         assert waited >= 0.29 and replayed < 0.2
 
     def test_stop_during_a_long_poll_returns_promptly(self, monkeypatch):
-        # every shot takes 20 ms, so the run lasts about 20 s
+        # Under Loopback only shot 0 executes (20 ms) and the other shots
+        # replay it, so the run ends before stop() and answers the poll
+        # itself; the per-shot test below holds the poll across stop().
         execute = dspsim._ShotState.execute
         monkeypatch.setattr(
             dspsim._ShotState, "execute", lambda state: (execute(state), time.sleep(0.02))
@@ -1102,7 +1136,8 @@ class TestFaultTolerance:
         assert server.dropped >= 2
 
     def test_lossy_link_still_exact(self, server):
-        # enough shots that the run outlasts several 25 ms STATUS budgets
+        # Under Loopback the shots replay shot 0, so the run ends within
+        # the first STATUS budget; the per-shot test below spans several.
         prog = readout_program(n_reads=2)
         shots = 150
         acq = AcqConfig(tap="adc", unit=3, length=300)
@@ -1116,6 +1151,28 @@ class TestFaultTolerance:
         )
         with DeviceClient(transport, timeout=0.05, retries=6) as client:
             remote = client.run_program(prog, shots, acq=acq)
+        assert remote.shots_completed == shots
+        for element in local.acc:
+            assert np.array_equal(remote.acc[element], local.acc[element])
+        assert np.array_equal(remote.acq, local.acq)
+
+    def test_lossy_link_over_several_long_polls(self, per_shot_server, monkeypatch):
+        # every shot executes and takes at least 2 ms, so the run outlasts
+        # several 25 ms STATUS budgets
+        execute = dspsim._ShotState.execute
+        monkeypatch.setattr(
+            dspsim._ShotState, "execute", lambda state: (execute(state), time.sleep(0.002))
+        )
+        prog = readout_program(n_reads=2)
+        shots = 150
+        acq = AcqConfig(tap="adc", unit=3, length=300)
+        local = simulate_program(prog, wiring=Loopback(), shots=shots, acq=acq, seed=1234)
+        recorder = RecordingTransport(UdpTransport(("127.0.0.1", per_shot_server.port)))
+        transport = LossyTransport(recorder, loss=0.05, dup=0.05, reorder=0.05, seed=42)
+        with DeviceClient(transport, timeout=0.05, retries=6) as client:
+            remote = client.run_program(prog, shots, acq=acq)
+        polls = {seq for (op, _, _), seq in zip(recorder.sent, recorder.seqs) if op == OP_STATUS}
+        assert len(polls) >= 3
         assert remote.shots_completed == shots
         for element in local.acc:
             assert np.array_equal(remote.acc[element], local.acc[element])

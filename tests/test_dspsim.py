@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubicforge import SimulationError
+from qubicforge.errors import EncodingError
 from qubicforge.chipcfg import load_hardware_config
 from qubicforge import dspsim
 from qubicforge.cmdcodec import PHASE_WORD_BITS, CommandFields, decode, encode
@@ -516,7 +517,7 @@ class TestConditionalGating:
         )
         sim = Simulator(HW)
         with pytest.raises(SimulationError, match="element 16 has a conditional command"):
-            sim.prepare(image)
+            sim.prepare(image.commands, image.repeat_cycles, image.envelopes)
         with pytest.raises(SimulationError, match="no flag source"):
             sim.run(image, shots=0)
 
@@ -866,3 +867,280 @@ class TestRepeatBound:
     def test_beyond_bound_rejected(self, cycles):
         with pytest.raises(SimulationError, match=f"repeat_cycles {cycles} exceeds"):
             ProgramImage((), {}, cycles)
+
+
+# ---------------------------------------------------------------------------
+# Program intake
+
+
+def reference_prepare(sim, image):
+    """The multi-pass ``Simulator.prepare`` that the one-pass intake
+    replaced, kept as its oracle: (shot_samples, windows, events,
+    envelopes), or SimulationError."""
+    hw = sim.hw
+    if len(image.commands) > hw.command_buffer_depth:
+        raise SimulationError(
+            f"{len(image.commands)} commands exceed buffer depth {hw.command_buffer_depth}"
+        )
+    spc = hw.samples_per_cycle
+    shot_samples = image.repeat_cycles * spc
+    decoded = []
+    for pos, word in enumerate(image.commands):
+        try:
+            decoded.append(decode(word))
+        except EncodingError as exc:
+            raise SimulationError(f"command {pos}: {exc}") from None
+    per_element = {}
+    for pos, cmd in enumerate(decoded):
+        if cmd.element >= hw.n_elements:
+            raise SimulationError(f"command {pos}: element {cmd.element} out of range")
+        if cmd.destination >= hw.n_dac_pairs:
+            raise SimulationError(
+                f"command {pos}: destination {cmd.destination} out of range "
+                f"(n_dac_pairs={hw.n_dac_pairs})"
+            )
+        n0 = cmd.trig_t * spc
+        if n0 + cmd.length > shot_samples:
+            raise SimulationError(
+                f"command {pos}: window ends at sample {n0 + cmd.length}, "
+                f"beyond the {shot_samples}-sample repeat period"
+            )
+        per_element.setdefault(cmd.element, []).append((pos, cmd))
+    for element, cmds in per_element.items():
+        last_end = -1
+        prev_trig = -1
+        for pos, cmd in cmds:
+            if cmd.trig_t < prev_trig:
+                raise SimulationError(f"element {element}: trig_t decreases at command {pos}")
+            n0 = cmd.trig_t * spc
+            if n0 < last_end:
+                raise SimulationError(f"element {element}: command {pos} triggers while busy")
+            last_end = max(last_end, n0 + cmd.length)
+            prev_trig = cmd.trig_t
+        if any(cmd.condition for _, cmd in cmds) and sim.condition_map.get(element) is None:
+            raise SimulationError(
+                f"element {element} has a conditional command but no flag source"
+            )
+    order = []
+    for element, cmds in per_element.items():
+        up = hw.element_direction(element) == "up"
+        for pos, cmd in cmds:
+            if not up:
+                order.append((cmd.trig_t + -(-cmd.length // spc), 0, element, pos))
+            elif cmd.length:
+                order.append((cmd.trig_t, 1, element, pos))
+    order.sort()
+    depth = hw.envelope_buffer_depth
+    events = []
+    reach = {}
+    for _, up, element, pos in order:
+        cmd = decoded[pos]
+        end = cmd.start + cmd.length
+        fault = None
+        if up:
+            reach[element] = max(reach.get(element, 0), end)
+            if end > depth:
+                fault = f"read [{cmd.start}, {end}) beyond depth {depth}; zeros emitted"
+        source = sim.condition_map[element] if cmd.condition else None
+        events.append(dspsim._Window(bool(up), cmd, cmd.trig_t * spc, source, fault))
+    memory = {}
+    for element, n in reach.items():
+        stored = image.envelopes.get(element, ())[: min(n, depth)]
+        memory[element] = np.zeros(n, dtype=np.int64)
+        memory[element][: len(stored)] = stored
+    return shot_samples, dspsim.acc_windows(decoded, hw.n_processing_elements_up), events, memory
+
+
+def faulty_positions(sim, image):
+    """Every command a check rejects, each judged against the commands
+    before it on its element as if none had been rejected."""
+    hw = sim.hw
+    spc = hw.samples_per_cycle
+    last = {}
+    faulty = []
+    for pos, word in enumerate(image.commands):
+        try:
+            cmd = decode(word)
+        except EncodingError:
+            faulty.append(pos)
+            continue
+        n0, end = cmd.trig_t * spc, cmd.trig_t * spc + cmd.length
+        prev_trig, busy_until = last.get(cmd.element, (-1, -1))
+        last[cmd.element] = (cmd.trig_t, max(busy_until, end))
+        if (
+            cmd.element >= hw.n_elements
+            or cmd.destination >= hw.n_dac_pairs
+            or end > image.repeat_cycles * spc
+            or cmd.trig_t < prev_trig
+            or n0 < busy_until
+            or (cmd.condition and sim.condition_map.get(cmd.element) is None)
+        ):
+            faulty.append(pos)
+    return faulty
+
+
+HW3 = load_hardware_config('{"n_dac_pairs": 3}')  # destination 3 is out of range
+
+_MUTATIONS = ("reserved", "element", "destination", "trig_t", "length", "condition")
+
+
+@st.composite
+def intake_images(draw):
+    """``window_images`` with up to three words mutated: reserved bits,
+    an out-of-range element or destination, a new trig_t or length
+    (windows past the period, decreasing trig_t, overlaps), or a set
+    condition bit (a conditional command without a flag source)."""
+    image = draw(window_images())
+    words = list(image.commands)
+    for _ in range(draw(st.integers(0, 3)) if words else 0):
+        pos = draw(st.integers(0, len(words) - 1))
+        kind = draw(st.sampled_from(_MUTATIONS))
+        if kind == "reserved":
+            words[pos] |= 1 << draw(st.integers(97, 127))
+            continue
+        try:
+            cmd = decode(words[pos])
+        except EncodingError:
+            continue
+        if kind == "element":
+            cmd = cmd._replace(element=draw(st.integers(HW.n_elements, 255)))
+        elif kind == "destination":
+            cmd = cmd._replace(destination=3)
+        elif kind == "trig_t":
+            near = st.integers(max(cmd.trig_t - 3, 0), cmd.trig_t + 3)
+            cmd = cmd._replace(trig_t=draw(near | st.integers(0, image.repeat_cycles + 2)))
+        elif kind == "length":
+            cmd = cmd._replace(length=draw(st.integers(0, 4095)))
+        else:
+            cmd = cmd._replace(condition=1)
+        words[pos] = encode(cmd)
+    return ProgramImage(words, image.envelopes, image.repeat_cycles)
+
+
+class TestIntake:
+    @given(
+        image=intake_images(),
+        hw=st.sampled_from([HW, HW3]),
+        condition_map=st.sampled_from([None, {}]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_matches_the_reference(self, image, hw, condition_map):
+        sim = Simulator(hw, condition_map=condition_map)
+        try:
+            expected, expected_error = reference_prepare(sim, image), None
+        except SimulationError as exc:
+            expected_error = str(exc)
+        try:
+            got, error = sim.prepare(image.commands, image.repeat_cycles, image.envelopes), None
+        except SimulationError as exc:
+            error = str(exc)
+        faulty = faulty_positions(sim, image)
+        if expected_error is None:
+            assert error is None and faulty == []
+            shot_samples, windows, events, envelopes = expected
+            assert got.shot_samples == shot_samples
+            assert list(got.windows.items()) == list(windows.items())
+            assert got.events == tuple(events)
+            assert got.envelopes.keys() == envelopes.keys()
+            for element, words in envelopes.items():
+                assert got.envelopes[element].dtype == words.dtype
+                assert np.array_equal(got.envelopes[element], words)
+            assert all(w.n0 + w.cmd.length <= got.window_end for w in got.events)
+            assert got.window_end <= shot_samples
+        elif len(faulty) == 1:
+            assert error == expected_error
+        else:
+            assert error is not None and len(faulty) > 1
+
+    def test_several_faults_report_the_lowest(self):
+        image = ProgramImage(
+            [up_cmd(element=0, trig_t=4, length=16), up_cmd(element=200), 1 << 100],
+            {},
+            8,
+        )
+        with pytest.raises(SimulationError, match="^command 1: element 200 out of range$"):
+            Simulator(HW).prepare(image.commands, image.repeat_cycles, image.envelopes)
+
+    @pytest.mark.parametrize("cycles", [0, MAX_REPEAT_CYCLES + 1])
+    def test_period_outside_the_bound_rejected(self, cycles):
+        with pytest.raises(SimulationError, match="repeat_cycles"):
+            Simulator(HW).prepare([], cycles, {})
+
+    def test_envelopes_copied(self):
+        words, _ = env_words()
+        memory = {0: np.array(words, dtype=">u4")}
+        prepared = Simulator(HW).prepare([up_cmd(length=96)], 32, memory)
+        memory[0][:] = 0
+        assert prepared.envelopes[0].tolist() == list(words[:96])
+
+
+# ---------------------------------------------------------------------------
+# Shot buffers stop where the last window ends
+
+
+class TestWindowEnd:
+    def test_dac_reads_past_the_last_window_are_zeros(self):
+        words, _ = env_words()
+        image = ProgramImage(commands=[up_cmd(length=96)], envelopes={0: words}, repeat_cycles=64)
+        reads = {}
+
+        def fn(shot, dac, rng):
+            reads["whole"] = dac(0, 0, 256)
+            reads["tail"] = dac(0, 200, 10**6)
+            reads["last"] = dac(0, -8, None)
+            return {}
+
+        # an ADC capture calls fn once the shot's windows have played
+        res = Simulator(HW, wiring=External(fn)).run(image, acq=AcqConfig("adc", 0, 16))
+        assert reads["whole"].shape == (256, 2) and res.dac[0].shape == (256, 2)
+        assert np.array_equal(reads["whole"], res.dac[0])
+        assert np.any(res.dac[0][:96]) and not np.any(res.dac[0][96:])
+        assert reads["tail"].shape == (56, 2) and not np.any(reads["tail"])
+        assert reads["last"].shape == (8, 2) and not np.any(reads["last"])
+
+    def test_shot_buffers_stop_at_the_last_window(self, monkeypatch):
+        words, _ = env_words()
+        image = ProgramImage(
+            commands=[up_cmd(length=96), down_cmd(trig_t=4, length=32)],
+            envelopes={0: words},
+            repeat_cycles=4096,
+        )
+        states = []
+        init = dspsim._ShotState.__init__
+        monkeypatch.setattr(
+            dspsim._ShotState,
+            "__init__",
+            lambda state, *a: (init(state, *a), states.append(state))[0],
+        )
+        res = Simulator(HW, wiring=Loopback(0)).run(
+            image, acq=AcqConfig(tap="dlo", unit=16, length=200)
+        )
+        (state,) = states
+        assert {arr.shape for arr in state.dac_sum.values()} == {(96, 2)}
+        assert state.dlo_tap[16].shape == (96, 2)
+        assert res.dac[0].shape == (4096 * HW.samples_per_cycle, 2)
+        assert np.any(res.acq[16:48]) and not np.any(res.acq[48:])
+
+
+class TestCaptureUnits:
+    @pytest.mark.parametrize(
+        "tap, unit, message",
+        [
+            ("adc", -1, "^no ADC pair -1$"),
+            ("adc", 4, "^no ADC pair 4$"),
+            ("dac", -1, "^no DAC pair -1$"),
+            ("dlo", 99, "^no down element 99$"),
+            ("dlo", 0, "^no down element 0$"),
+            ("dlo", -1, "^no down element -1$"),
+        ],
+    )
+    def test_capture_of_a_missing_unit_raises(self, tap, unit, message):
+        words, _ = env_words()
+        image = ProgramImage(commands=[up_cmd(length=96)], envelopes={0: words}, repeat_cycles=32)
+        with pytest.raises(SimulationError, match=message):
+            Simulator(HW, wiring=Loopback(0)).run(image, acq=AcqConfig(tap, unit, 16))
+
+    def test_negative_shots_rejected(self):
+        image = ProgramImage(commands=[], envelopes={}, repeat_cycles=8)
+        with pytest.raises(SimulationError, match="shots must be >= 0"):
+            Simulator(HW).run(image, shots=-3)
