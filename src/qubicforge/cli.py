@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -27,7 +28,7 @@ from .chipcfg import (
     standard_channel_map,
 )
 from .compiler import CompiledProgram, compile_circuit, load_circuit, simulate_program
-from .device import DeviceClient, DeviceServer, UdpTransport
+from .device import DeviceServer, connect
 from .dspsim import ACQ_TAPS, AcqConfig, Loopback, Simulator
 from .errors import (
     AnalysisError,
@@ -99,6 +100,17 @@ def _obtain_program(args) -> CompiledProgram:
     return _compile_from_args(args)
 
 
+def _acq_from_args(args):
+    """The capture the --acq-* flags ask for, or None."""
+    return AcqConfig(args.acq_tap, args.acq_unit, args.acq_length) if args.acq_length else None
+
+
+def _out_path(args, suffix):
+    """``<out>/<name><suffix>``, creating the output directory."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, args.name + suffix)
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -106,13 +118,17 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _write_acc_csv(path, acc):
-    rows = (
-        [element, k, int(i), int(q)]
-        for element in sorted(acc)
-        for k, (i, q) in enumerate(acc[element])
-    )
-    _write_csv(path, ["element", "entry", "i", "q"], rows)
+def _write_readout(args, result, acq):
+    """Write a local or remote result's ``.acc.csv`` and, with a capture,
+    ``.acq.csv``; returns the paths written."""
+    acc, paths = result.acc, [_out_path(args, ".acc.csv")]
+    rows = ([e, k, int(i), int(q)] for e in sorted(acc) for k, (i, q) in enumerate(acc[e]))
+    _write_csv(paths[0], ["element", "entry", "i", "q"], rows)
+    if acq is not None:
+        paths.append(_out_path(args, ".acq.csv"))
+        rows = ([n, int(i), int(q)] for n, (i, q) in enumerate(result.acq))
+        _write_csv(paths[1], ["sample", "i", "q"], rows)
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +137,13 @@ def _write_acc_csv(path, acc):
 
 def _cmd_compile(args):
     program = _compile_from_args(args)
-    os.makedirs(args.out, exist_ok=True)
-    binary = os.path.join(args.out, args.name + ".qfpb")
+    binary = _out_path(args, ".qfpb")
     with open(binary, "wb") as fh:
         fh.write(program.serialize())
-    tp_path = os.path.join(args.out, args.name + ".tp.txt")
+    tp_path = _out_path(args, ".tp.txt")
     with open(tp_path, "w") as fh:
         fh.write(program.dump_tp())
-    cmd_path = os.path.join(args.out, args.name + ".commands.txt")
+    cmd_path = _out_path(args, ".commands.txt")
     with open(cmd_path, "w") as fh:
         fh.write(program.dump_commands())
     print(
@@ -143,9 +158,7 @@ def _cmd_compile(args):
 def _cmd_simulate(args):
     program = _obtain_program(args)
     seed = _resolve_seed(args.seed)
-    acq = None
-    if args.acq_length:
-        acq = AcqConfig(tap=args.acq_tap, unit=args.acq_unit, length=args.acq_length)
+    acq = _acq_from_args(args)
     result = simulate_program(
         program,
         wiring=Loopback(args.loopback_delay),
@@ -153,23 +166,17 @@ def _cmd_simulate(args):
         acq=acq,
         seed=seed,
     )
-    os.makedirs(args.out, exist_ok=True)
-    wave_path = os.path.join(args.out, args.name + ".waveform.csv")
+    wave_path = _out_path(args, ".waveform.csv")
     waves = result.dac if program.image.commands else {}
     rows = ([n, p, int(i), int(q)] for p in sorted(waves) for n, (i, q) in enumerate(waves[p]))
     _write_csv(wave_path, ["sample", "pair", "i", "q"], rows)
-    acc_path = os.path.join(args.out, args.name + ".acc.csv")
-    _write_acc_csv(acc_path, result.acc)
-    if acq is not None:
-        acq_path = os.path.join(args.out, args.name + ".acq.csv")
-        rows = ([n, int(i), int(q)] for n, (i, q) in enumerate(result.acq))
-        _write_csv(acq_path, ["sample", "i", "q"], rows)
+    paths = [wave_path, *_write_readout(args, result, acq)]
     print(
         f"simulated {result.shots_completed} shot(s), "
         f"{result.saturation_count} saturated samples, "
         f"{len(result.fault_log)} faults"
     )
-    print(f"wrote {wave_path}, {acc_path}")
+    print(f"wrote {', '.join(paths)}")
     return EXIT_OK
 
 
@@ -199,26 +206,15 @@ def _cmd_serve(args):
 
 def _cmd_run(args):
     program = _obtain_program(args)
-    acq = None
-    if args.acq_length:
-        acq = AcqConfig(tap=args.acq_tap, unit=args.acq_unit, length=args.acq_length)
-    client = DeviceClient(
-        UdpTransport((args.host, args.port)),
-        timeout=args.timeout,
-        retries=args.retries,
-    )
-    try:
+    acq = _acq_from_args(args)
+    with connect(args.host, args.port, timeout=args.timeout, retries=args.retries) as client:
         result = client.run_program(program, args.shots, acq=acq)
-    finally:
-        client.close()
-    os.makedirs(args.out, exist_ok=True)
-    acc_path = os.path.join(args.out, args.name + ".acc.csv")
-    _write_acc_csv(acc_path, result.acc)
+    paths = _write_readout(args, result, acq)
     print(
         f"remote run finished: {result.shots_completed} shot(s), "
         f"{result.fault_count} fault(s)"
     )
-    print(f"wrote {acc_path}")
+    print(f"wrote {', '.join(paths)}")
     return EXIT_OK
 
 
@@ -237,11 +233,10 @@ def _cmd_rb(args):
         result = rb_experiment_2q(model, args.lengths, args.sequences, args.shots, seed)
     else:
         result = rb_experiment(model, args.lengths, args.sequences, args.shots, seed)
-    os.makedirs(args.out, exist_ok=True)
-    json_path = os.path.join(args.out, args.name + ".json")
+    json_path = _out_path(args, ".json")
     with open(json_path, "w") as fh:
         json.dump(result.to_json(), fh, indent=2)
-    csv_path = os.path.join(args.out, args.name + ".survival.csv")
+    csv_path = _out_path(args, ".survival.csv")
     rows = zip(map(int, result.lengths), result.survival, result.survival_err)
     _write_csv(csv_path, ["length", "survival", "survival_err"], rows)
     status = "converged" if result.converged else "did NOT converge"
@@ -263,16 +258,15 @@ def _cmd_rc(args):
         circuits, args.variants, model, args.shots, seed=rng, verify=not args.no_verify
     )
     pvalue = paired_improvement_pvalue(report)
-    os.makedirs(args.out, exist_ok=True)
-    json_path = os.path.join(args.out, args.name + ".json")
+    json_path = _out_path(args, ".json")
     blob = report.to_json()
     blob["wilcoxon_pvalue"] = pvalue
     with open(json_path, "w") as fh:
         json.dump(blob, fh, indent=2)
-    tvd_path = os.path.join(args.out, args.name + ".tvd.csv")
+    tvd_path = _out_path(args, ".tvd.csv")
     rows = ([i, b, r] for i, (b, r) in enumerate(zip(report.bare_tvd, report.rc_tvd)))
     _write_csv(tvd_path, ["circuit", "bare_tvd", "rc_tvd"], rows)
-    stage_path = os.path.join(args.out, args.name + ".stages.csv")
+    stage_path = _out_path(args, ".stages.csv")
     _write_csv(stage_path, ["stage", "seconds"], report.stage_seconds.items())
     print(
         f"bare TVD {report.bare_mean:.4f} +- {report.bare_std:.4f}, "
@@ -323,6 +317,27 @@ def _port(text):
     if not 0 <= port <= 65535:
         raise argparse.ArgumentTypeError(f"port {port} is not in 0..65535")
     return port
+
+
+def _timeout(text):
+    seconds = float(text)
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise argparse.ArgumentTypeError(f"timeout {text!r} is not a finite positive time")
+    return seconds
+
+
+def _duration(text):
+    seconds = float(text)
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise argparse.ArgumentTypeError(f"duration {text!r} is not a finite time >= 0")
+    return seconds
+
+
+def _retries(text):
+    retries = int(text)
+    if retries < 0:
+        raise argparse.ArgumentTypeError(f"retries {retries} is negative")
+    return retries
 
 
 class _Parser(argparse.ArgumentParser):
@@ -386,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loopback-delay", type=int, default=0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
-        "--duration", type=float, default=None, help="stop after this many seconds"
+        "--duration", type=_duration, default=None, help="stop after this many seconds"
     )
 
     p = sub.add_parser("run", help="execute a program on a remote device")
@@ -395,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=_port, default=9100)
     p.add_argument("--shots", type=int, default=1)
-    p.add_argument("--timeout", type=float, default=0.1)
-    p.add_argument("--retries", type=int, default=3)
+    p.add_argument("--timeout", type=_timeout, default=0.1)
+    p.add_argument("--retries", type=_retries, default=3)
     _add_acq_flags(p)
     _add_out_flags(p, "run")
 

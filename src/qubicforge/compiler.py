@@ -386,8 +386,8 @@ def _packed_words(shape, n_samples, amp, sample_rate):
 
 
 class _PulseLabel:
-    """``pulse at <t> ns on <dest>``, formatted only when a message or a
-    new layout region needs it."""
+    """``pulse at <t> ns on <dest>``, formatted only when a message
+    needs it."""
 
     __slots__ = ("tp", "suffix")
 
@@ -407,9 +407,8 @@ class _EnvelopeMemory:
         self.depth = depth
         self.words = {}  # element -> list of stored words
         self.regions = {}  # (element, words) -> start
-        self.layout = {}  # element -> list of (start, length, label)
 
-    def store(self, element, words, label):
+    def store(self, element, words):
         """Start of ``words`` on ``element``, shared or newly stored;
         None when the element lacks room for them."""
         start = self.regions.get((element, words))
@@ -419,7 +418,6 @@ class _EnvelopeMemory:
                 return None
             self.words.setdefault(element, []).extend(words)
             self.regions[element, words] = start
-            self.layout.setdefault(element, []).append((start, len(words), str(label)))
         return start
 
 
@@ -454,11 +452,11 @@ class _DynamicAllocator:
 
     def place_up(self, element, words, n0, n1, label, source):
         self._require_free(element, n0, n1, label)
-        cand, start = element, self.memory.store(element, words, label)
+        cand, start = element, self.memory.store(element, words)
         if start is None:
             for cand in range(self.hw.n_processing_elements_up):
                 if cand != element and self._time_free(cand, n0, n1):
-                    start = self.memory.store(cand, words, label)
+                    start = self.memory.store(cand, words)
                     if start is not None:
                         break
             else:
@@ -496,7 +494,7 @@ class _StaticAllocator:
                 start = None
                 if n <= hw.envelope_buffer_depth:
                     words = _packed_words(pulse.env.dedup_key(), n, pulse.amp, rate)
-                    start = self.memory.store(ch.element, words, f"{name}[{idx}]")
+                    start = self.memory.store(ch.element, words)
                 if start is None:
                     raise CompileError(
                         f"gate {name!r}: static envelope layout exceeds "
@@ -532,7 +530,6 @@ class CompiledProgram:
     commands: tuple  # CommandFields, buffer order
     tp: tuple  # TimePulse intermediate form
     allocator: str
-    layout: dict  # element -> ((start, length, label), ...)
 
     @property
     def repeat_cycles(self):
@@ -654,7 +651,6 @@ class CompiledProgram:
             commands=tuple(cmdcodec.decode(c) for c in commands),
             tp=(),
             allocator=allocator,
-            layout={},
         )
 
 
@@ -768,10 +764,8 @@ def lower_to_nv(
                 f"repeat_time {repeat_time} s exceeds {MAX_REPEAT_CYCLES} cycles"
             )
 
-    memory = alloc.memory
-    envelopes = {e: tuple(words) for e, words in sorted(memory.words.items())}
-    layout = {e: tuple(v) for e, v in memory.layout.items()}
-    return commands, envelopes, repeat_cycles, layout
+    envelopes = {e: tuple(words) for e, words in sorted(alloc.memory.words.items())}
+    return commands, envelopes, repeat_cycles
 
 
 def compile_circuit(
@@ -785,7 +779,7 @@ def compile_circuit(
     """Full pipeline: schedule, TimePulse lowering, command lowering."""
     scheduled = schedule(circuit, gates, hw)
     tp = lower_to_tp(scheduled, gates, chip, hw)
-    commands, envelopes, repeat_cycles, layout = lower_to_nv(
+    commands, envelopes, repeat_cycles = lower_to_nv(
         tp, hw, gates, allocator=allocator, repeat_time=repeat_time
     )
     image = ProgramImage(
@@ -799,7 +793,6 @@ def compile_circuit(
         commands=commands,
         tp=tp,
         allocator=allocator,
-        layout=layout,
     )
 
 

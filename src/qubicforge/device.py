@@ -53,7 +53,7 @@ import numpy as np
 
 from . import cmdcodec
 from .dspsim import ACQ_TAPS, MAX_REPEAT_CYCLES, AcqConfig, RunBuffers, Simulator, acc_windows
-from .envgen import iq_lanes, u32_array
+from .envgen import iq_lanes, iq_words, u32_array
 from .errors import EncodingError, SimulationError, TransportError
 
 logger = logging.getLogger("qubicforge.device")
@@ -123,9 +123,17 @@ class Packet:
 def encode_packet(p: Packet) -> bytes:
     if len(p.payload) > MAX_PAYLOAD:
         raise TransportError(f"payload of {len(p.payload)} bytes exceeds {MAX_PAYLOAD}")
-    head = HEADER.pack(
-        MAGIC, p.seq & 0xFFFFFFFF, p.op, p.region, p.unit, p.status, p.offset, p.count
-    )
+    try:
+        head = HEADER.pack(
+            MAGIC, p.seq & 0xFFFFFFFF, p.op, p.region, p.unit, p.status, p.offset, p.count
+        )
+    except struct.error:
+        for name in ("op", "region", "unit", "status", "offset", "count"):
+            bits = 32 if name in ("offset", "count") else 8
+            value = getattr(p, name)
+            if not 0 <= value < 1 << bits:
+                raise TransportError(f"{name} {value} does not fit {bits} bits") from None
+        raise
     body = head + p.payload
     return body + zlib.crc32(body).to_bytes(4, "big")
 
@@ -181,18 +189,6 @@ def _from_payload(region, payload) -> list:
     return np.frombuffer(payload, ">u4").tolist()
 
 
-def acq_words(acq_array) -> np.ndarray:
-    """Pack an (n, 2) I/Q capture into (I16 << 16) | Q16 words."""
-    arr = np.asarray(acq_array, dtype=np.int64)
-    i = np.clip(arr[:, 0], -32768, 32767) & 0xFFFF
-    q = np.clip(arr[:, 1], -32768, 32767) & 0xFFFF
-    return ((i << 16) | q).astype(np.uint32)
-
-
-def acq_from_words(words) -> np.ndarray:
-    return np.stack(iq_lanes(words), axis=1).astype(np.int32)
-
-
 # ---------------------------------------------------------------------------
 # Transports
 
@@ -209,7 +205,7 @@ class UdpTransport:
         self.sock.sendto(data, self.address)
 
     def recv(self, timeout: float):
-        self.sock.settimeout(timeout)
+        self.sock.settimeout(min(timeout, threading.TIMEOUT_MAX))
         try:
             data, _ = self.sock.recvfrom(MAX_DATAGRAM)
             return data
@@ -419,7 +415,8 @@ class DeviceServer:
             # signed entries as their two's complement
             return np.array(entries, dtype=np.int64).reshape(-1) & 0xFFFFFFFF
         if region == REGION_ACQ:
-            return acq_words(self.buffers.acq)
+            # the capture already lies within 16 bits per lane
+            return iq_words(*self.buffers.acq.T)
         if region == REGION_CONTROL:
             return self.control
         if region == REGION_ENVELOPE_CRC:
@@ -744,7 +741,7 @@ class DeviceClient:
         Each STATUS waits on the device for up to half the client
         timeout, so a reply is due well before the client retransmits.
         """
-        budget = max(1, round(self.timeout * 500))
+        budget = min(max(1, round(self.timeout * 500)), 0xFFFFFFFF)  # u32 count
         for _ in range(_MAX_POLLS):
             running, done, faults = self.status(budget)
             if not running:
@@ -756,7 +753,8 @@ class DeviceClient:
         return np.frombuffer(data, ">i4").astype(np.int64).reshape(-1, 2)
 
     def read_acq(self, length):
-        return acq_from_words(np.frombuffer(self._read_bytes(REGION_ACQ, 0, 0, length), ">u4"))
+        words = np.frombuffer(self._read_bytes(REGION_ACQ, 0, 0, length), ">u4")
+        return np.stack(iq_lanes(words), axis=1).astype(np.int32)
 
     def run_program(self, program, shots, acq=None) -> RemoteResult:
         """Upload, run, and collect: the full remote execution cycle.

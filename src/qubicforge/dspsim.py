@@ -659,7 +659,9 @@ class _ShotState:
                 self.entries[element].append(self._run_down(w))
                 continue
             if w.fault is not None:
-                self.faults.append(FaultEntry(self.shot, element, 0, "envelope_oob", w.fault))
+                self.faults.append(
+                    FaultEntry(self.shot, element, w.cmd.trig_t, "envelope_oob", w.fault)
+                )
             self.dac_sum[w.cmd.destination][w.n0 : w.n0 + w.cmd.length] += w.samples
 
     def _run_down(self, w):

@@ -206,8 +206,12 @@ def pack(envelope: Envelope) -> PackedEnvelope:
     q = _quantize(envelope.samples.imag)
     if np.max(np.abs(i)) > FULL_SCALE or np.max(np.abs(q)) > FULL_SCALE:
         raise EnvelopeError("sample magnitude exceeds full scale after quantization")
-    words = ((i & 0xFFFF) << 16) | (q & 0xFFFF)
-    return PackedEnvelope(words=tuple(int(w) for w in words))
+    return PackedEnvelope(words=tuple(iq_words(i, q).tolist()))
+
+
+def iq_words(i, q) -> np.ndarray:
+    """(I << 16) | Q int64 words of signed 16-bit lanes; inverts ``iq_lanes``."""
+    return ((np.asarray(i, np.int64) & 0xFFFF) << 16) | (np.asarray(q, np.int64) & 0xFFFF)
 
 
 def iq_lanes(words) -> tuple:

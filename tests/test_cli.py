@@ -12,9 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qubicforge import cli
 from qubicforge.chipcfg import HardwareConfig, standard_channel_map
 from qubicforge.cli import main
 from qubicforge.compiler import CompiledProgram
+from qubicforge.device import DeviceServer
+from qubicforge.dspsim import Loopback
 
 CHIP = {
     "qubits": {"Q6": {"drive_freq": 5.5e9, "readout_freq": 6.52e9}},
@@ -257,6 +260,31 @@ class TestRemote:
         finally:
             proc.terminate()
             proc.wait(timeout=5)
+
+    @pytest.fixture
+    def emulator(self, compiled):
+        program = CompiledProgram.deserialize((compiled / "program.qfpb").read_bytes())
+        with DeviceServer(program.hw, wiring=Loopback(0), seed=5) as server:
+            yield server
+
+    def test_run_writes_what_simulate_writes(self, compiled, emulator, tmp_path):
+        flags = ["--program", str(compiled / "program.qfpb"), "--shots", "3",
+                 "--acq-length", "200", "--acq-unit", "3", "--name", "r"]
+        run = ["run", *flags, "--port", str(emulator.port), "--out", str(tmp_path / "run")]
+        assert main(run) == 0
+        assert main(["simulate", *flags, "--seed", "5", "--out", str(tmp_path / "sim")]) == 0
+        for name in ("r.acc.csv", "r.acq.csv"):
+            assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "sim" / name).read_bytes()
+        acq = (tmp_path / "run" / "r.acq.csv").read_text().splitlines()
+        assert len(acq) == 1 + 200 and acq[1:] != ["0,0,0"] * 200
+
+    @pytest.mark.parametrize("timeout", ["1e7", "1e12"])
+    def test_run_with_a_long_timeout(self, compiled, emulator, timeout, tmp_path):
+        # half the timeout in ms overflows STATUS's u32 wait budget, and
+        # 1e12 s overflows the socket timeout
+        argv = ["run", "--program", str(compiled / "program.qfpb"),
+                "--port", str(emulator.port), "--timeout", timeout, "--out", str(tmp_path)]
+        assert main(argv) == 0
 
     def test_run_without_server(self, compiled, tmp_path, capsys):
         code = main(
@@ -651,6 +679,24 @@ class TestMalformedFlags:
         }[cmd]
         assert main([*head, "--port", port]) == 1
         assert "argument --port" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--timeout", v) for v in ["nan", "inf", "-inf", "0", "-1", "x", ""]]
+        + [("--retries", v) for v in ["-1", "1.5", "x"]],
+    )
+    def test_bad_timeout_or_retries_is_a_usage_error(
+        self, compiled, flag_out, flag, value, capsys
+    ):
+        argv = ["run", "--program", str(compiled / "program.qfpb"), "--out", flag_out]
+        assert main([*argv, flag, value]) == 1
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-1", "x"])
+    def test_bad_duration_is_a_usage_error(self, monkeypatch, duration, capsys):
+        monkeypatch.setattr(cli, "DeviceServer", lambda *a, **k: pytest.fail("server started"))
+        assert main(["serve", "--port", "0", "--duration", duration]) == 1
+        assert "argument --duration" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tap, unit", [("adc", "-1"), ("dlo", "99"), ("dlo", "0")])
     def test_capture_of_a_missing_unit_is_a_simulation_failure(

@@ -405,7 +405,7 @@ class TestDynamicAllocatorBusyCheck:
         fast = _DynamicAllocator(hw)
         slow = LinearScanAllocator(hw)
         assert run_allocator(fast, ops) == run_allocator(slow, ops)
-        assert (fast.memory.words, fast.memory.layout) == (slow.memory.words, slow.memory.layout)
+        assert fast.memory.words == slow.memory.words
         for element, windows in fast.busy.items():
             assert windows == sorted(slow.busy[element])
 
@@ -741,7 +741,6 @@ class ReferenceDynamicAllocator:
         self.memory = {}
         self.regions = {}
         self.busy = {}
-        self.layout = {}
 
     def _has_room(self, element, n_words):
         return len(self.memory.get(element, ())) + n_words <= self.hw.envelope_buffer_depth
@@ -776,7 +775,6 @@ class ReferenceDynamicAllocator:
                 start = len(mem)
                 mem.extend(words)
                 self.regions[(cand, words)] = start
-                self.layout.setdefault(cand, []).append((start, len(words), label))
                 self._reserve_time(cand, n0, n1, label)
                 return cand, start
         raise CompileError(f"{label}: envelope memory exhausted on every up element")
@@ -790,7 +788,6 @@ class ReferenceStaticAllocator:
         self.memory = {}
         self.regions = {}
         self.by_source = {}
-        self.layout = {}
         for name in sorted(gates.gates):
             for idx, pulse in enumerate(gates.pulses(name)):
                 ch = chmap_lookup(pulse.dest, f"gate {name!r}")
@@ -810,9 +807,6 @@ class ReferenceStaticAllocator:
                         )
                     mem.extend(words)
                     self.regions[key] = start
-                    self.layout.setdefault(ch.element, []).append(
-                        (start, len(words), f"{name}[{idx}]")
-                    )
                 self.by_source[(name, idx)] = (ch.element, start, words)
 
     def place_up(self, element, words, n0, n1, label, source):
@@ -896,23 +890,18 @@ def reference_lower_to_nv(tp_list, hw, allocator, gates):
     for _, trig_t, cmd in entries:
         min_cycles = max(min_cycles, trig_t + -(-cmd.length // spc))
     envelopes = {e: tuple(mem) for e, mem in sorted(alloc.memory.items()) if mem}
-    layout = {e: tuple(v) for e, v in alloc.layout.items()}
-    return commands, envelopes, min_cycles, layout
+    return commands, envelopes, min_cycles
 
 
 def reference_compile(circuit, hw, allocator):
     tp = lower_to_tp(reference_schedule(circuit, GATES, hw), GATES, CHIP, hw)
-    commands, envelopes, repeat_cycles, layout = reference_lower_to_nv(
-        tp, hw, allocator, GATES
-    )
+    commands, envelopes, repeat_cycles = reference_lower_to_nv(tp, hw, allocator, GATES)
     image = ProgramImage(
         commands=tuple(cmdcodec.encode(c) for c in commands),
         envelopes=envelopes,
         repeat_cycles=repeat_cycles,
     )
-    return CompiledProgram(
-        image=image, hw=hw, commands=commands, tp=tp, allocator=allocator, layout=layout
-    )
+    return CompiledProgram(image=image, hw=hw, commands=commands, tp=tp, allocator=allocator)
 
 
 def _hw_variant(n_up, depth, channel_map):
@@ -993,7 +982,6 @@ def _outcome(compile_fn):
     return (
         p.image,
         p.serialize(),
-        sorted(p.layout.items()),
         p.dump_tp(),
         p.dump_commands(),
         p.repeat_cycles,

@@ -52,8 +52,6 @@ from qubicforge.device import (
     LossyTransport,
     Packet,
     UdpTransport,
-    acq_from_words,
-    acq_words,
     decode_packet,
     encode_packet,
 )
@@ -65,6 +63,7 @@ from qubicforge.dspsim import (
     ProgramImage,
     Simulator,
 )
+from qubicforge.envgen import iq_words
 from qubicforge import cmdcodec, dspsim
 
 CHIP = load_chip_config(
@@ -303,9 +302,26 @@ class TestPacketCodec:
         with pytest.raises(TransportError, match="exceeds"):
             encode_packet(Packet(seq=1, op=OP_WRITE, payload=b"\0" * (MAX_PAYLOAD + 1)))
 
-    def test_acq_word_roundtrip(self):
-        arr = np.array([[0, 0], [32767, -32768], [-1, 1], [-12345, 4321]], dtype=np.int32)
-        assert np.array_equal(acq_from_words(acq_words(arr)), arr)
+    @pytest.mark.parametrize(
+        "field, value, bits",
+        [
+            ("op", 256, 8),
+            ("region", -1, 8),
+            ("unit", 300, 8),
+            ("status", 256, 8),
+            ("offset", 2**32, 32),
+            ("count", -1, 32),
+        ],
+    )
+    def test_header_field_out_of_range(self, field, value, bits):
+        fields = {"seq": 1, "op": OP_READ, field: value}
+        with pytest.raises(TransportError, match=rf"^{field} {value} does not fit {bits} bits$"):
+            encode_packet(Packet(**fields))
+
+    def test_header_fields_at_their_limits(self):
+        byte, word = 2**8 - 1, 2**32 - 1
+        p = Packet(seq=word, op=byte, region=byte, unit=byte, status=byte, offset=word, count=word)
+        assert decode_packet(encode_packet(p)) == p
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +406,7 @@ class TestMemoryAccess:
                 assert client.read_region(REGION_ACC, element, lo, hi - lo) == acc[lo:hi]
             depth = HW.acq_buffer_depth
             captured = client.read_region(REGION_ACQ, 0, 0, depth)  # several datagrams
-            assert captured[:400] == acq_words(result.acq).tolist()
+            assert captured[:400] == iq_words(*result.acq.T).tolist()
             assert captured[400:] == [0] * (depth - 400)
             assert client.read_region(REGION_ACQ, 0, 397, 5) == captured[397:402]
             for region, offset, count in [(REGION_ACC, 19, 2), (REGION_ACQ, depth - 1, 2)]:
@@ -800,7 +816,6 @@ def image_program(image, hw=HW):
         commands=tuple(map(cmdcodec.decode, image.commands)),
         tp=(),
         allocator="test",
-        layout={},
     )
 
 

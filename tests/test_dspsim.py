@@ -824,6 +824,15 @@ class TestShotInvariance:
         assert [(f.shot, f.kind) for f in res.fault_log] == [(k, "envelope_oob") for k in range(3)]
         assert len({id(f) for f in res.fault_log}) == 3
 
+    @pytest.mark.parametrize(
+        "wiring", [Loopback(), PerShotLoopback()], ids=["replayed", "executed"]
+    )
+    def test_envelope_faults_carry_their_trigger_cycle(self, wiring):
+        command = up_cmd(trig_t=5, start=HW.envelope_buffer_depth - 16, length=32)
+        image = ProgramImage(commands=[command], envelopes={}, repeat_cycles=32)
+        res = Simulator(HW, wiring=wiring).run(image, shots=3)
+        assert [(f.shot, f.cycle) for f in res.fault_log] == [(k, 5) for k in range(3)]
+
     @staticmethod
     def executions(monkeypatch):
         calls = []

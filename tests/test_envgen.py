@@ -13,6 +13,8 @@ from qubicforge.envgen import (
     Envelope,
     EnvelopeSpec,
     generate,
+    iq_lanes,
+    iq_words,
     pack,
     unpack,
     unpack_words,
@@ -167,6 +169,10 @@ class TestPacking:
         q = word & 0xFFFF
         assert i == round(0.5 * FULL_SCALE) or i == math.floor(0.5 * FULL_SCALE + 0.5)
         assert q == math.floor(0.25 * FULL_SCALE + 0.5)
+
+    def test_acq_word_roundtrip(self):
+        arr = np.array([[0, 0], [32767, -32768], [-1, 1], [-12345, 4321]], dtype=np.int32)
+        assert np.array_equal(np.stack(iq_lanes(iq_words(*arr.T)), axis=1), arr)
 
     def test_round_half_away_from_zero(self):
         half_lsb = 0.5 / FULL_SCALE
