@@ -118,13 +118,13 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _write_readout(args, result, acq):
+def _write_readout(args, result):
     """Write a local or remote result's ``.acc.csv`` and, with a capture,
     ``.acq.csv``; returns the paths written."""
     acc, paths = result.acc, [_out_path(args, ".acc.csv")]
     rows = ([e, k, int(i), int(q)] for e in sorted(acc) for k, (i, q) in enumerate(acc[e]))
     _write_csv(paths[0], ["element", "entry", "i", "q"], rows)
-    if acq is not None:
+    if len(result.acq):  # no capture leaves no rows
         paths.append(_out_path(args, ".acq.csv"))
         rows = ([n, int(i), int(q)] for n, (i, q) in enumerate(result.acq))
         _write_csv(paths[1], ["sample", "i", "q"], rows)
@@ -158,19 +158,18 @@ def _cmd_compile(args):
 def _cmd_simulate(args):
     program = _obtain_program(args)
     seed = _resolve_seed(args.seed)
-    acq = _acq_from_args(args)
     result = simulate_program(
         program,
         wiring=Loopback(args.loopback_delay),
         shots=args.shots,
-        acq=acq,
+        acq=_acq_from_args(args),
         seed=seed,
     )
     wave_path = _out_path(args, ".waveform.csv")
     waves = result.dac if program.image.commands else {}
     rows = ([n, p, int(i), int(q)] for p in sorted(waves) for n, (i, q) in enumerate(waves[p]))
     _write_csv(wave_path, ["sample", "pair", "i", "q"], rows)
-    paths = [wave_path, *_write_readout(args, result, acq)]
+    paths = [wave_path, *_write_readout(args, result)]
     print(
         f"simulated {result.shots_completed} shot(s), "
         f"{result.saturation_count} saturated samples, "
@@ -206,10 +205,9 @@ def _cmd_serve(args):
 
 def _cmd_run(args):
     program = _obtain_program(args)
-    acq = _acq_from_args(args)
     with connect(args.host, args.port, timeout=args.timeout, retries=args.retries) as client:
-        result = client.run_program(program, args.shots, acq=acq)
-    paths = _write_readout(args, result, acq)
+        result = client.run_program(program, args.shots, acq=_acq_from_args(args))
+    paths = _write_readout(args, result)
     print(
         f"remote run finished: {result.shots_completed} shot(s), "
         f"{result.fault_count} fault(s)"
