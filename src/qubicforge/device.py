@@ -52,7 +52,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cmdcodec
-from .dspsim import ACQ_TAPS, MAX_REPEAT_CYCLES, AcqConfig, RunBuffers, Simulator, acc_windows
+from .dspsim import (
+    ACQ_TAPS,
+    MAX_REPEAT_CYCLES,
+    AcqConfig,
+    RunBuffers,
+    Simulator,
+    acc_windows,
+    check_run,
+)
 from .envgen import iq_lanes, iq_words, u32_array
 from .errors import EncodingError, SimulationError, TransportError
 
@@ -761,8 +769,13 @@ class DeviceClient:
 
         The memory writes of ``upload_program``, then one CONTROL write
         of SHOTS through N_COMMANDS, START, STATUS until the run ends,
-        and the reads of ACC and, with a capture, ACQ.
+        and the reads of ACC and, with a capture, ACQ.  Shots and capture
+        a local run rejects, or shots beyond the u32 SHOTS register, raise
+        SimulationError before any request is sent.
         """
+        check_run(program.hw, shots, acq)
+        if shots > 0xFFFFFFFF:
+            raise SimulationError(f"shots {shots} exceed the 32-bit SHOTS register")
         self._upload_memory(program)
         image = program.image
         # ACQ_TAP, ACQ_UNIT, ACQ_LEN

@@ -16,17 +16,19 @@ sample at a time:
 Every arithmetic step is integer and fully deterministic, so two runs of
 the same memory image produce bit-identical buffers on any host.  What
 depends only on the image (carriers and up-conversion products) is
-synthesized once per run, before its first shot, in blocks of bounded
-size; each shot sums the stored products onto the DAC pairs and runs
-gating, demodulation and capture.  When no shot can differ from the
-first (a deterministic wiring and no conditional command), the first
-shot runs and later shots replay it.
+synthesized before a run's first shot, in blocks of bounded size, and a
+simulator keeps what it synthesized, keyed on window content, so each
+distinct window is synthesized once; each shot sums the stored products
+onto the DAC pairs and runs gating, demodulation and capture.  When no
+shot can differ from the first (a deterministic wiring and no
+conditional command), the first shot runs and later shots replay it.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import threading
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -63,6 +65,10 @@ _QUARTER_SHIFT = _TURN_BITS - 2
 # Samples synthesized per CORDIC call: bounds the temporaries of a run's
 # synthesis, whatever the program's size.
 _SYNTH_BLOCK = 1 << 14
+
+# Samples a simulator's synthesis memo holds at most (16 blocks, 2 MB of
+# I/Q); the memo is cleared when an insert would pass this.
+_MEMO_SAMPLES = 16 * _SYNTH_BLOCK
 
 
 def cordic_cos_sin(turn_words) -> tuple:
@@ -221,15 +227,15 @@ class _Window(NamedTuple):
     samples: np.ndarray | None = None
 
 
-def _blocks(events):
-    """Consecutive runs of whole windows of at most _SYNTH_BLOCK samples
-    (a longer window is a block of its own)."""
+def _blocks(misses):
+    """Consecutive runs of ``(key, window)`` pairs whose windows hold at
+    most _SYNTH_BLOCK samples (a longer window is a block of its own)."""
     block, size = [], 0
-    for w in events:
+    for key, w in misses:
         if block and size + w.cmd.length > _SYNTH_BLOCK:
             yield block
             block, size = [], 0
-        block.append(w)
+        block.append((key, w))
         size += w.cmd.length
     if block:
         yield block
@@ -402,6 +408,17 @@ class External:
         return out
 
 
+def check_run(hw, shots, acq):
+    """Reject a negative shot count or a capture longer than the
+    acquisition buffer, as a run on ``hw`` would."""
+    if shots < 0:
+        raise SimulationError(f"shots must be >= 0, got {shots}")
+    if acq is not None and acq.length > hw.acq_buffer_depth:
+        raise SimulationError(
+            f"acquisition length {acq.length} exceeds depth {hw.acq_buffer_depth}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Simulator
 
@@ -425,6 +442,10 @@ class Simulator:
                 i: n_up + i for i in range(min(n_up, hw.n_processing_elements_down))
             }
         self.condition_map = dict(condition_map)
+        # synthesis key -> read-only samples; see _synthesize
+        self._memo = {}
+        self._memo_samples = 0
+        self._memo_lock = threading.Lock()
 
     # -- program loading ----------------------------------------------------
 
@@ -502,34 +523,72 @@ class Simulator:
         )
 
     def _synthesize(self, prepared):
-        """``prepared.events`` with their samples, one CORDIC call per block."""
-        events = []
-        for block in _blocks(prepared.events):
-            lengths = [w.cmd.length for w in block]
+        """``prepared.events`` with their samples, each distinct window
+        synthesized once.
+
+        A window's samples depend only on its synthesis key: the turn
+        word of its first sample, its frequency word and length, and the
+        envelope words an up window reads (never the element or address,
+        whose memory a later program may rewrite).  Keys this simulator
+        has met come from its memo; this call's distinct misses are
+        synthesized with one CORDIC call per block and stored."""
+        shift = _TURN_BITS - cmdcodec.PHASE_WORD_BITS
+        mask = (1 << _TURN_BITS) - 1
+        keys = []
+        found = {}  # this call's keys -> samples, so a clear loses none
+        misses = {}  # key -> its first window, for keys not in the memo
+        for w in prepared.events:
+            cmd = w.cmd
+            words = None
+            if w.up:
+                words = prepared.envelopes[cmd.element][cmd.start : cmd.start + cmd.length]
+                words = words.tobytes()
+            turn = ((cmd.phase_word << shift) + cmd.freq_word * w.n0) & mask
+            key = (turn, cmd.freq_word, cmd.length, words)
+            keys.append(key)
+            if key not in found:
+                found[key] = self._memo.get(key)
+                if found[key] is None:
+                    misses[key] = w
+        for block in _blocks(misses.items()):
+            windows = [w for _, w in block]
+            lengths = [w.cmd.length for w in windows]
             first = np.cumsum([0] + lengths)
             n = np.arange(first[-1]) + _per_sample(
-                np.array([w.n0 for w in block]) - first[:-1], lengths
+                np.array([w.n0 for w in windows]) - first[:-1], lengths
             )
-            shift = _TURN_BITS - cmdcodec.PHASE_WORD_BITS
-            phase = _per_sample([w.cmd.phase_word << shift for w in block], lengths)
-            freq = _per_sample([w.cmd.freq_word for w in block], lengths)
-            cos, sin = cordic_cos_sin((phase + freq * n) & ((1 << _TURN_BITS) - 1))
+            phase = _per_sample([w.cmd.phase_word << shift for w in windows], lengths)
+            freq = _per_sample([w.cmd.freq_word for w in windows], lengths)
+            cos, sin = cordic_cos_sin((phase + freq * n) & mask)
             samples = np.stack((cos, sin), axis=1).astype(np.int32)
-            up = np.repeat([w.up for w in block], lengths)
+            up = np.repeat([w.up for w in windows], lengths)
             if up.any():
                 reads = [
                     prepared.envelopes[w.cmd.element][w.cmd.start : w.cmd.start + w.cmd.length]
-                    for w in block
+                    for w in windows
                     if w.up
                 ]
                 ei, eq = iq_lanes(np.concatenate(reads))
                 ci, cq = cos[up], sin[up]
                 samples[up, 0] = _div_full_scale(ei * ci - eq * cq)
                 samples[up, 1] = _div_full_scale(ei * cq + eq * ci)
-            events.extend(
-                w._replace(samples=samples[lo:hi]) for w, lo, hi in zip(block, first, first[1:])
-            )
-        return tuple(events)
+            for (key, _), lo, hi in zip(block, first, first[1:]):
+                found[key] = self._remember(key, samples[lo:hi])
+        return tuple(w._replace(samples=found[key]) for w, key in zip(prepared.events, keys))
+
+    def _remember(self, key, samples):
+        """Store a read-only copy of ``samples`` under ``key`` and return
+        it, clearing the memo first if it would pass _MEMO_SAMPLES."""
+        stored = samples.copy()
+        stored.flags.writeable = False
+        with self._memo_lock:
+            if key not in self._memo:
+                if self._memo_samples + len(stored) > _MEMO_SAMPLES:
+                    self._memo.clear()
+                    self._memo_samples = 0
+                self._memo[key] = stored
+                self._memo_samples += len(stored)
+        return stored
 
     # -- execution ----------------------------------------------------------
 
@@ -544,8 +603,9 @@ class Simulator:
         DAC sums.  ``out`` is read and written under ``lock``.  Before
         each shot the loop stops if ``stop`` is set or a window would
         overflow the accumulator depth, counting entries ``out.acc``
-        already holds.  The program's signals are synthesized once,
-        before the first shot, in the thread that iterates the loop.
+        already holds.  The program's windows are synthesized before
+        the first shot, in the thread that iterates the loop; windows
+        this simulator synthesized before come from its memo.
 
         Under a deterministic wiring a program without conditional
         commands plays the same shot every time, so only shot 0
@@ -591,13 +651,8 @@ class Simulator:
 
         ``SimResult.dac`` holds the final shot's DAC pairs over the whole
         repeat period."""
-        if shots < 0:
-            raise SimulationError(f"shots must be >= 0, got {shots}")
+        check_run(self.hw, shots, acq)
         prepared = self.prepare(image.commands, image.repeat_cycles, image.envelopes)
-        if acq is not None and acq.length > self.hw.acq_buffer_depth:
-            raise SimulationError(
-                f"acquisition length {acq.length} exceeds depth {self.hw.acq_buffer_depth}"
-            )
         out = RunBuffers(
             acc={e: [] for e in prepared.windows},
             acq=np.zeros((acq.length if acq else 0, 2), dtype=np.int32),

@@ -278,6 +278,24 @@ class TestRemote:
         acq = (tmp_path / "run" / "r.acq.csv").read_text().splitlines()
         assert len(acq) == 1 + 200 and acq[1:] != ["0,0,0"] * 200
 
+    @pytest.mark.parametrize(
+        "flags", [["--shots", "-1"], ["--acq-length", "100000"]], ids=["shots", "acq-length"]
+    )
+    def test_run_rejects_what_simulate_rejects(self, compiled, emulator, flags, tmp_path, capsys):
+        common = ["--program", str(compiled / "program.qfpb"), *flags, "--out", str(tmp_path)]
+        codes = []
+        for argv in (["simulate", *common], ["run", *common, "--port", str(emulator.port)]):
+            codes.append(main(argv))
+            codes.append(capsys.readouterr().err)
+        assert codes[0] == codes[2] == 5
+        assert codes[1] == codes[3] and "verification failure" in codes[1]
+
+    def test_run_rejects_shots_beyond_the_shots_register(self, compiled, emulator, capsys):
+        argv = ["run", "--program", str(compiled / "program.qfpb"),
+                "--port", str(emulator.port), "--shots", str(2**32)]
+        assert main(argv) == 5
+        assert "32-bit SHOTS register" in capsys.readouterr().err
+
     @pytest.mark.parametrize("timeout", ["1e7", "1e12"])
     def test_run_with_a_long_timeout(self, compiled, emulator, timeout, tmp_path):
         # half the timeout in ms overflows STATUS's u32 wait budget, and

@@ -577,15 +577,46 @@ class TestExecution:
     @pytest.mark.parametrize("shots", [1, 3])
     def test_remote_run_synthesizes_once(self, server, monkeypatch, shots):
         prog = readout_program(n_reads=3)
+        # a window's samples depend on its first turn word, frequency,
+        # length and the envelope words an up window reads
+        spc, n_up = HW.samples_per_cycle, HW.n_processing_elements_up
+        shift = 24 - cmdcodec.PHASE_WORD_BITS
+        distinct = {}
+        for cmd in prog.commands:
+            turn = ((cmd.phase_word << shift) + cmd.freq_word * cmd.trig_t * spc) % 2**24
+            words = None
+            if cmd.element < n_up:
+                words = prog.image.envelopes[cmd.element][cmd.start : cmd.start + cmd.length]
+            distinct[(turn, cmd.freq_word, cmd.length, words)] = cmd.length
+        assert len(distinct) < len(prog.commands)
         calls = []
         cordic = dspsim.cordic_cos_sin
         monkeypatch.setattr(
             dspsim, "cordic_cos_sin", lambda words: calls.append(len(words)) or cordic(words)
         )
         with make_client(server) as client:
-            result = client.run_program(prog, shots)
-        assert result.shots_completed == shots
-        assert calls == [sum(cmd.length for cmd in prog.commands)]
+            first = client.run_program(prog, shots)
+            assert calls == [sum(distinct.values())]
+            second = client.run_program(prog, shots)
+        assert calls == [sum(distinct.values())]  # the second run is all memo hits
+        assert first.shots_completed == second.shots_completed == shots
+        assert set(first.acc) == set(second.acc)
+        for element in first.acc:
+            assert np.array_equal(first.acc[element], second.acc[element])
+
+    @pytest.mark.parametrize(
+        "shots, acq, message",
+        [
+            (-1, None, "shots must be >= 0, got -1"),
+            (2**32, None, "shots 4294967296 exceed the 32-bit SHOTS register"),
+            (1, AcqConfig(length=HW.acq_buffer_depth + 1), "acquisition length .* exceeds depth"),
+        ],
+    )
+    def test_bad_run_rejected_before_any_request(self, server, shots, acq, message):
+        with recording_client(server) as client:
+            with pytest.raises(SimulationError, match=message):
+                client.run_program(readout_program(), shots, acq=acq)
+            assert client.transport.sent == []
 
     def test_start_answers_before_synthesis(self, server, monkeypatch):
         prog = readout_program()
@@ -926,6 +957,32 @@ class TestResidentEnvelopes:
                 client.transport.sent.clear()
                 remote = client.run_program(prog, 2)
             assert envelope_writes(client.transport.sent) == [0, 1]
+        for element in local.acc:
+            assert np.array_equal(remote.acc[element], local.acc[element])
+
+    def test_new_words_at_the_same_addresses_play(self, server):
+        # the same commands over rewritten envelope memory: a run must not
+        # reuse what it synthesized from the words that were there before
+        prog = readout_program()
+        envelopes = prog.image.envelopes
+        rng = np.random.default_rng(3)
+        rewritten = image_program(
+            ProgramImage(
+                prog.image.commands,
+                {e: rng.integers(0, 2**32, len(w)).tolist() for e, w in envelopes.items()},
+                prog.image.repeat_cycles,
+            )
+        )
+        before = simulate_program(prog, wiring=Loopback(), shots=2, seed=1234)
+        local = simulate_program(rewritten, wiring=Loopback(), shots=2, seed=1234)
+        n_up = HW.n_processing_elements_up
+        assert not np.array_equal(local.acc[n_up], before.acc[n_up])
+        with recording_client(server) as client:
+            client.run_program(prog, 2)
+            client.transport.sent.clear()
+            remote = client.run_program(rewritten, 2)
+            assert envelope_writes(client.transport.sent) == sorted(envelopes)
+        assert set(remote.acc) == set(local.acc)
         for element in local.acc:
             assert np.array_equal(remote.acc[element], local.acc[element])
 

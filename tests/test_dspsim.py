@@ -1,10 +1,12 @@
 """Signal-path simulator: CORDIC, mixing, accumulation, gating."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qubicforge import SimulationError
@@ -574,6 +576,21 @@ class TestAcquisition:
 # Synthesis once per run
 
 
+def assert_per_window(res, image, shots, delay, tap):
+    """``res``, a run with a whole-period capture of LO tap ``tap``,
+    equals ``per_window_run`` field for field."""
+    n_samples = image.repeat_cycles * HW.samples_per_cycle
+    acc, dac, dlo, faults = per_window_run(image, shots, delay)
+    assert res.shots_completed == shots
+    assert set(res.acc) == set(acc)
+    for element, entries in acc.items():
+        assert res.acc[element].tolist() == [list(e) for e in entries]
+    for pair in range(HW.n_dac_pairs):
+        assert np.array_equal(res.dac[pair], dac[pair])
+    assert np.array_equal(res.acq, dlo.get(tap, np.zeros((n_samples, 2))))
+    assert [(f.shot, f.element, f.kind, f.detail) for f in res.fault_log] == faults
+
+
 def per_window_run(image, shots, delay):
     """The per-window algorithm: one CORDIC call per window per shot.
 
@@ -697,14 +714,7 @@ class TestSynthesisOnce:
         res = Simulator(HW, wiring=Loopback(delay)).run(
             image, shots=shots, acq=AcqConfig(tap="dlo", unit=tap, length=n_samples)
         )
-        acc, dac, dlo, faults = per_window_run(image, shots, delay)
-        assert set(res.acc) == set(acc)
-        for element, entries in acc.items():
-            assert res.acc[element].tolist() == [list(e) for e in entries]
-        for pair in range(HW.n_dac_pairs):
-            assert np.array_equal(res.dac[pair], dac[pair])
-        assert np.array_equal(res.acq, dlo.get(tap, np.zeros((n_samples, 2))))
-        assert [(f.shot, f.element, f.kind, f.detail) for f in res.fault_log] == faults
+        assert_per_window(res, image, shots, delay, tap)
 
     @pytest.mark.parametrize("shots", [1, 3])
     def test_one_cordic_call_per_run(self, monkeypatch, shots):
@@ -769,6 +779,185 @@ class TestSynthesisOnce:
         for pair in range(HW.n_dac_pairs):
             assert np.array_equal(res.dac[pair], dac[pair])
         assert [(f.shot, f.element, f.kind, f.detail) for f in res.fault_log] == faults
+
+
+@st.composite
+def repeating_images(draw):
+    """Unconditional images whose windows repeat on purpose: equal first
+    turns at different ``n0``, equal envelope words at different
+    addresses and on different elements, up and down windows of equal
+    first turn and length, and repeated reads past depth."""
+    n_up = HW.n_processing_elements_up
+    spc = HW.samples_per_cycle
+    depth = HW.envelope_buffer_depth
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    # (frequency, first turn, length, words); multiples of 2**10 let a
+    # phase word give any n0 the template's first turn
+    steps = TURNS >> 10
+    templates = [
+        (
+            draw(st.integers(0, steps - 1)) << 10,
+            draw(st.integers(0, steps - 1)) << 10,
+            draw(st.integers(1, 70)),
+            rng.integers(0, 2**32, 70),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    memory = {e: rng.integers(0, 2**32, depth) for e in range(3)}
+    fields = []
+    end_cycle = 1
+    for element in (0, 1, 2, n_up, n_up + 1):
+        starts = {}  # template -> its address on this element
+        free = draw(st.integers(0, 50))
+        tail = None  # the template whose read runs past depth
+        cycle = 0
+        for _ in range(draw(st.integers(0, 6))):
+            t = draw(st.integers(0, len(templates) - 1))
+            freq, turn, length, words = templates[t]
+            cycle = draw(st.integers(cycle, cycle + 6))
+            start = 0
+            if element < n_up:
+                if t not in starts or draw(st.booleans()):
+                    if tail is None and length > 1 and draw(st.booleans()):
+                        tail = t
+                        start = depth - draw(st.integers(1, length - 1))
+                    else:
+                        start, free = free, free + length + draw(st.integers(0, 9))
+                    starts[t] = start
+                    memory[element][start : start + length] = words[: depth - start][:length]
+                start = starts[t]
+            n0 = cycle * spc
+            fields.append(
+                CommandFields(
+                    trig_t=cycle,
+                    start=start,
+                    length=length,
+                    freq_word=freq,
+                    phase_word=((turn - freq * n0) % TURNS) >> 10,
+                    element=element,
+                    destination=draw(st.integers(0, HW.n_dac_pairs - 1)),
+                )
+            )
+            cycle += -(-length // spc)
+        end_cycle = max(end_cycle, cycle)
+    fields.sort(key=lambda c: c.trig_t)  # stable: each element keeps its order
+    return ProgramImage(
+        commands=[encode(c) for c in fields],
+        envelopes={e: words.tolist() for e, words in memory.items()},
+        repeat_cycles=end_cycle + draw(st.integers(0, 3)),
+    )
+
+
+def distinct_window_samples(image):
+    """Samples in the distinct windows of ``image``: two windows are one
+    when their first turn words, frequency words, lengths and, for up
+    windows, the envelope words they read are equal."""
+    depth = HW.envelope_buffer_depth
+    windows = {}
+    for cmd in map(decode, image.commands):
+        words = None
+        if cmd.element < HW.n_processing_elements_up:
+            if not cmd.length:
+                continue
+            stored = list(image.envelopes.get(cmd.element, ()))[:depth]
+            words = tuple(stored[cmd.start : cmd.start + cmd.length])
+            words += (0,) * (cmd.length - len(words))
+        n0 = cmd.trig_t * HW.samples_per_cycle
+        turn = ((cmd.phase_word << (24 - PHASE_WORD_BITS)) + cmd.freq_word * n0) % TURNS
+        windows[(turn, cmd.freq_word, cmd.length, words)] = cmd.length
+    return sum(windows.values())
+
+
+def cordic_samples(monkeypatch):
+    """Record the sample count of every CORDIC call into the list returned."""
+    calls = []
+    cordic = dspsim.cordic_cos_sin
+    monkeypatch.setattr(
+        dspsim, "cordic_cos_sin", lambda words: calls.append(len(words)) or cordic(words)
+    )
+    return calls
+
+
+class TestSynthesisMemo:
+    @given(
+        image=repeating_images(),
+        shots=st.integers(1, 3),
+        delay=st.sampled_from([0, 3]),
+        tap=st.sampled_from([16, 17]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_second_run_is_all_hits(self, image, shots, delay, tap):
+        sim = Simulator(HW, wiring=Loopback(delay))
+        acq = AcqConfig(tap="dlo", unit=tap, length=image.repeat_cycles * HW.samples_per_cycle)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = cordic_samples(monkeypatch)
+            first = sim.run(image, shots=shots, acq=acq)
+            assert sum(calls) == distinct_window_samples(image)
+            calls.clear()
+            second = sim.run(image, shots=shots, acq=acq)
+            assert calls == []
+        assert_per_window(first, image, shots, delay, tap)
+        assert_per_window(second, image, shots, delay, tap)
+
+    @given(image=repeating_images(), delay=st.sampled_from([0, 3]))
+    @settings(max_examples=30, deadline=None)
+    def test_clear_mid_program_still_matches(self, image, delay):
+        bound = 48
+        distinct = distinct_window_samples(image)
+        assume(distinct > 2 * bound)
+        sim = Simulator(HW, wiring=Loopback(delay))
+        acq = AcqConfig(tap="dlo", unit=16, length=image.repeat_cycles * HW.samples_per_cycle)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(dspsim, "_MEMO_SAMPLES", bound)
+            calls = cordic_samples(monkeypatch)
+            runs = [sim.run(image, shots=2, acq=acq) for _ in range(2)]
+            # the first run clears the memo as it fills, so the second
+            # synthesizes again what the clears dropped
+            assert sum(calls) > distinct
+        assert sim._memo_samples <= max(bound, max(map(len, sim._memo.values())))
+        for res in runs:
+            assert_per_window(res, image, 2, delay, 16)
+
+    def test_shared_simulator_keeps_its_memo_consistent(self):
+        # more threads than cores run distinct programs on one simulator
+        # whose memo clears often; a lost update would break the count
+        words, _ = env_words()
+        tone = ProgramImage(
+            [up_cmd(length=96, freq=50e6), down_cmd(length=90, freq=50e6)], {0: words}, 32
+        )
+        images = [TestConditionalGating().make_image(c) for c in (0, 1)] + [tone]
+        expected = [Simulator(HW, wiring=Loopback()).run(im, shots=2) for im in images]
+        sim = Simulator(HW, wiring=Loopback())
+        results, errors = {}, []
+
+        def work(k):
+            try:
+                for _ in range(20):
+                    results[k] = sim.run(images[k % len(images)], shots=2)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                monkeypatch.setattr(dspsim, "_MEMO_SAMPLES", 200)
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert sim._memo_samples == sum(len(v) for v in sim._memo.values())
+        for k, res in results.items():
+            want = expected[k % len(images)]
+            for element in want.acc:
+                assert np.array_equal(res.acc[element], want.acc[element])
+            for pair in want.dac:
+                assert np.array_equal(res.dac[pair], want.dac[pair])
 
 
 # ---------------------------------------------------------------------------
