@@ -18,14 +18,17 @@ the 128-bit word is transmitted big-endian (MSB first); see
 Decoded commands are :class:`CommandFields` records, immutable
 ``NamedTuple`` values that compare equal to the plain 8-tuple of their
 fields.  ``encode`` and ``decode`` are written out as straight-line
-shifts and masks, since every command the compiler emits, the simulator
-runs and the device server checks passes through them.
+shifts and masks, since every command the compiler emits passes through
+them.  ``decode_columns`` is their vector form: it decodes an array of
+wire words into one column per field, as the simulator reads a program.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import EncodingError
 
@@ -136,6 +139,37 @@ def decode(word: int) -> CommandFields:
         word >> 70 & 0x3,  # destination
         word >> 96 & 0x1,  # condition
     ))
+
+
+# decode_columns as one table, a row per CommandFields field and then
+# two more: (half, shift, mask), half 0 holding bits 64-127 and half 1
+# bits 0-63.  start (bits 58-69) straddles the halves, so row 1 takes its
+# low 6 bits and row 8 its high 6; row 9 is the reserved bits.
+_COLUMN_HALF = np.array([1, 1, 1, 0, 1, 1, 0, 0, 0, 0])
+_COLUMN_SHIFT = np.array([0, 58, 46, 8, 32, 24, 6, 32, 0, 33])[:, np.newaxis]
+_COLUMN_MASK = np.array(
+    [0xFFFFFF, 0x3F, 0xFFF, 0xFFFFFF, 0x3FFF, 0xFF, 0x3, 0x1, 0x3F, -1]
+)[:, np.newaxis]
+
+
+def decode_columns(words) -> tuple:
+    """Decode wire command words as columns.
+
+    ``words`` is an (n, 2) array of unsigned 64-bit halves, high half
+    first: 16-byte big-endian words viewed as ``>u8``.  Returns a
+    :class:`CommandFields` of int64 columns, one entry per word, and a
+    bool mask of the words with nonzero reserved bits, whose fields are
+    decoded all the same.  Entry ``k`` equals ``decode`` of word ``k``
+    wherever the mask is false.
+    """
+    # Native order once: shifts and masks on a byte-swapped dtype are
+    # slow.  As int64 a set top bit makes a half negative, which the
+    # masks undo; a negative high half has nonzero reserved bits.
+    halves = np.asarray(words, dtype=np.uint64).reshape(-1, 2).view(np.int64)
+    rows = halves.T[_COLUMN_HALF] >> _COLUMN_SHIFT
+    rows &= _COLUMN_MASK
+    rows[1] |= rows[8] << 6
+    return CommandFields._make(rows[:8]), rows[9] != 0
 
 
 def commands_to_bytes(words) -> bytes:

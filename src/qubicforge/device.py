@@ -18,7 +18,7 @@ silently (counted, never answered).
 
 Regions:
 
-* COMMAND: 16-byte command words.
+* COMMAND: 16-byte command words, held as they arrive on the wire.
 * ENVELOPE: 32-bit words, per-element (unit selects the element).
 * ACC: accumulator entries as word pairs (I then Q, two's complement),
   per down element.  Reading never drains; clear explicitly.
@@ -59,6 +59,7 @@ from .dspsim import (
     RunBuffers,
     Simulator,
     acc_windows,
+    check_command_count,
     check_run,
 )
 from .envgen import iq_lanes, iq_words, u32_array
@@ -86,6 +87,8 @@ REGION_ACQ = 4
 REGION_CONTROL = 5
 REGION_ENVELOPE_CRC = 6
 _WRITABLE_REGIONS = (REGION_COMMAND, REGION_ENVELOPE, REGION_CONTROL)
+# regions the server holds as arrays of their wire words
+_WIRE_REGIONS = (REGION_COMMAND, REGION_ENVELOPE)
 
 STATUS_OK = 0
 STATUS_BAD_REGION = 1
@@ -277,8 +280,9 @@ class DeviceServer:
 
     Holds the memory regions, executes runs on the signal-path
     simulator in a background thread, and answers the control protocol.
-    START prepares (decodes and validates) the staged program once and
-    hands it to the run thread, one long-lived worker that ``start``
+    COMMAND memory holds the words as they arrive; START decodes the
+    staged words as columns, validates them once and hands the prepared
+    program to the run thread, one long-lived worker that ``start``
     creates and ``stop`` ends.  The worker iterates the simulator's shot
     loop, which folds each shot into the device's buffers under the
     device lock, so STATUS can observe progress and STOP can interrupt.
@@ -321,7 +325,8 @@ class DeviceServer:
 
     def _reset_state(self):
         with self._lock:
-            self.commands = [0] * self.hw.command_buffer_depth
+            # wire words: big-endian 64-bit halves, high half first
+            self.commands = np.zeros((self.hw.command_buffer_depth, 2), dtype=">u8")
             self.envelopes = {
                 e: np.zeros(self.hw.envelope_buffer_depth, dtype=">u4")
                 for e in range(self.hw.n_processing_elements_up)
@@ -453,12 +458,12 @@ class DeviceServer:
             return self._status_reply(request, STATUS_BAD_RANGE)
         if request.region == REGION_CONTROL and lo + count > REG_ENVELOPE_DEPTH:
             return self._status_reply(request, STATUS_BAD_OP)
-        words = _from_payload(request.region, request.payload)
         if request.region == REGION_CONTROL:
-            for reg, value in enumerate(words, lo):
+            for reg, value in enumerate(_from_payload(request.region, request.payload), lo):
                 self._write_control(reg, value)
         else:
-            store[lo : lo + count] = words
+            words = np.frombuffer(request.payload, store.dtype)
+            store[lo : lo + count] = words.reshape((count,) + store.shape[1:])
             if request.region == REGION_ENVELOPE:
                 self._envelope_crc.pop(request.unit, None)
         return self._status_reply(request, STATUS_OK)
@@ -481,7 +486,11 @@ class DeviceServer:
         if request.offset + count > len(store):
             return self._status_reply(request, STATUS_BAD_RANGE)
         words = store[request.offset : request.offset + count]
-        return self._status_reply(request, STATUS_OK, _to_payload(request.region, words))
+        if request.region in _WIRE_REGIONS:
+            payload = words.tobytes()
+        else:
+            payload = _to_payload(request.region, words)
+        return self._status_reply(request, STATUS_OK, payload)
 
     def _op_start(self, request):
         if self.running:
@@ -698,10 +707,13 @@ class DeviceClient:
         """Load a compiled program's buffers and control registers.
 
         Envelopes are resident: one READ of ENVELOPE_CRC, then a WRITE of
-        the words, zero-padded to depth, of each up element (those the
-        envelopes name or the commands address) whose device CRC
-        differs.  Afterwards the device's envelope memory is what a local
-        run of the program reads.
+        the first ``envelope_buffer_depth`` words, zero-padded to depth,
+        of each up element (those the envelopes name or the commands
+        address) whose device CRC differs.  Afterwards the device holds
+        what a local run of the program reads, and no more: segments of
+        down or missing elements and words past depth are not sent, as a
+        local run never reads them.  More commands than the buffer holds
+        raise the SimulationError of a local run before any request.
         """
         self._upload_memory(program)
         image = program.image
@@ -712,16 +724,18 @@ class DeviceClient:
     def _upload_memory(self, program):
         """The COMMAND and ENVELOPE writes of ``upload_program``."""
         image, hw = program.image, program.hw
+        check_command_count(hw, len(image.commands))
         self.write_region(REGION_COMMAND, 0, 0, image.commands)
-        n_up = hw.n_processing_elements_up
+        n_up, depth = hw.n_processing_elements_up, hw.envelope_buffer_depth
         elements = sorted(
-            set(image.envelopes) | {cmd.element for cmd in program.commands if cmd.element < n_up}
+            {e for e in image.envelopes if 0 <= e < n_up}
+            | {cmd.element for cmd in program.commands if cmd.element < n_up}
         )
         if elements:
             crcs = self.read_region(REGION_ENVELOPE_CRC, 0, 0, elements[-1] + 1)
             for element in elements:
-                words = image.envelopes.get(element, ())
-                padded = np.zeros(max(hw.envelope_buffer_depth, len(words)), dtype=">u4")
+                words = image.envelopes.get(element, ())[:depth]
+                padded = np.zeros(depth, dtype=">u4")
                 padded[: len(words)] = words
                 if zlib.crc32(padded) != crcs[element]:
                     self.write_region(REGION_ENVELOPE, element, 0, padded)
@@ -769,9 +783,9 @@ class DeviceClient:
 
         The memory writes of ``upload_program``, then one CONTROL write
         of SHOTS through N_COMMANDS, START, STATUS until the run ends,
-        and the reads of ACC and, with a capture, ACQ.  Shots and capture
-        a local run rejects, or shots beyond the u32 SHOTS register, raise
-        SimulationError before any request is sent.
+        and the reads of ACC and, with a capture, ACQ.  Shots, capture
+        and command count a local run rejects, or shots beyond the u32
+        SHOTS register, raise SimulationError before any request is sent.
         """
         check_run(program.hw, shots, acq)
         if shots > 0xFFFFFFFF:

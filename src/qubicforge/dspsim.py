@@ -32,12 +32,10 @@ import threading
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from . import cmdcodec
-from .cmdcodec import CommandFields
 from .envgen import iq_lanes, u32_array
 from .errors import EncodingError, SimulationError
 
@@ -191,54 +189,37 @@ def _envelope_words(element, words) -> tuple:
 class PreparedProgram:
     """A validated program, from ``Simulator.prepare``.
 
-    ``events`` holds the shot's windows in execution order, not yet
-    synthesized; ``envelopes`` holds a copy of the envelope memory of
-    each up element they address, as far as they read and zero past
-    depth; ``windows`` maps each down element with commands, in the
+    The shot's windows, not yet synthesized, are columns in execution
+    order, one entry per window: ``up`` (bool), ``element``,
+    ``destination``, ``trig_t``, ``n0`` (its first absolute sample),
+    ``length``, ``freq_word``, ``phase_word``, ``start`` (its envelope
+    address), ``source``, the element whose flag gates a conditional
+    window or -1, and ``fault``, a tuple holding the envelope-fault
+    detail of an up window that reads beyond depth (logged in every shot
+    it runs) or None.  ``envelopes`` holds a copy of the envelope memory
+    of each up element the windows address, as far as they read and zero
+    past depth; ``windows`` maps each down element with commands, in the
     order of its first command, to the accumulator entries one shot
-    appends.  ``window_end`` is the sample where the last window ends:
-    a shot holds DAC and DLO samples up to it, and everything after it
-    up to ``shot_samples`` reads as zeros.
+    appends.  ``window_end`` is the sample where the last window ends: a
+    shot holds DAC and DLO samples up to it, and everything after it up
+    to ``shot_samples`` reads as zeros.
     """
 
     shot_samples: int
     windows: dict
-    events: tuple
     envelopes: dict
     window_end: int
-
-
-class _Window(NamedTuple):
-    """One command's window, starting at absolute sample ``n0``.
-
-    ``source`` is the element whose flag gates a conditional command
-    (None when unconditional); ``fault`` describes an envelope read
-    beyond depth, logged in every shot the window runs.  ``samples``,
-    filled in by synthesis, is a (cmd.length, 2) int32 array: the
-    unsaturated DAC contribution of an up window, or the LO carrier of a
-    down window.
-    """
-
-    up: bool
-    cmd: CommandFields
-    n0: int
-    source: int | None
-    fault: str | None
-    samples: np.ndarray | None = None
-
-
-def _blocks(misses):
-    """Consecutive runs of ``(key, window)`` pairs whose windows hold at
-    most _SYNTH_BLOCK samples (a longer window is a block of its own)."""
-    block, size = [], 0
-    for key, w in misses:
-        if block and size + w.cmd.length > _SYNTH_BLOCK:
-            yield block
-            block, size = [], 0
-        block.append((key, w))
-        size += w.cmd.length
-    if block:
-        yield block
+    up: np.ndarray
+    element: np.ndarray
+    destination: np.ndarray
+    trig_t: np.ndarray
+    n0: np.ndarray
+    length: np.ndarray
+    freq_word: np.ndarray
+    phase_word: np.ndarray
+    start: np.ndarray
+    source: np.ndarray
+    fault: tuple
 
 
 def acc_windows(commands, n_up) -> Counter:
@@ -419,6 +400,29 @@ def check_run(hw, shots, acq):
         )
 
 
+def check_command_count(hw, n_commands):
+    """Reject more commands than the command buffer of ``hw`` holds."""
+    if n_commands > hw.command_buffer_depth:
+        raise SimulationError(
+            f"{n_commands} commands exceed buffer depth {hw.command_buffer_depth}"
+        )
+
+
+def _wire_words(commands):
+    """``commands`` as (n, 2) wire words, and a mask of the words that
+    do not fit 128 bits (stored as zero); ints are packed big-endian."""
+    if isinstance(commands, np.ndarray) and commands.ndim == 2:
+        return commands, np.zeros(len(commands), dtype=bool)
+    try:
+        data = cmdcodec.commands_to_bytes(commands)
+        unfit = np.zeros(len(commands), dtype=bool)
+    except EncodingError:
+        words = [int(w) for w in commands]
+        unfit = np.array([not 0 <= w < 1 << cmdcodec.COMMAND_BITS for w in words])
+        data = cmdcodec.commands_to_bytes([0 if bad else w for w, bad in zip(words, unfit)])
+    return np.frombuffer(data, ">u8").reshape(-1, 2), unfit
+
+
 # ---------------------------------------------------------------------------
 # Simulator
 
@@ -452,129 +456,201 @@ class Simulator:
     def prepare(self, commands, repeat_cycles, envelopes) -> PreparedProgram:
         """Decode and validate a program once for every shot that runs it.
 
-        One pass over the 128-bit ``commands`` checks each word in turn;
-        a SimulationError names the lowest faulty command, or a period
-        outside [1, MAX_REPEAT_CYCLES].  ``envelopes`` maps an up element
-        to its 32-bit words; the result copies those its commands read.
+        ``commands`` are wire words, an (n, 2) array of 64-bit halves as
+        ``cmdcodec.decode_columns`` reads them, or 128-bit ints; either
+        way they are decoded into columns once and every check is a mask
+        over all of them.  A command's checks depend only on the commands
+        before it, so a SimulationError names the lowest faulty command,
+        with the first check it fails in this order: the word fits 128
+        bits, its reserved bits are zero, its element and destination
+        exist, its window ends within the period, its element's trig_t
+        does not decrease and the element is not busy, and a conditional
+        command's element has a flag source.  A period outside [1,
+        MAX_REPEAT_CYCLES] or more commands than the buffer holds is
+        rejected first.  ``envelopes`` maps an up element to its 32-bit
+        words; the result copies those its commands read.
         """
         hw = self.hw
         _check_period(repeat_cycles)
-        if len(commands) > hw.command_buffer_depth:
-            raise SimulationError(
-                f"{len(commands)} commands exceed buffer depth {hw.command_buffer_depth}"
-            )
+        check_command_count(hw, len(commands))
         spc, depth = hw.samples_per_cycle, hw.envelope_buffer_depth
         shot_samples = repeat_cycles * spc
-        keyed = []  # (execution order key, window)
-        last = {}  # element -> (its last trig_t, end of its busy span)
-        reach = {}  # up element -> end of its furthest envelope read
-        windows = Counter()
-        for pos, word in enumerate(commands):
-            try:
-                cmd = cmdcodec.decode(word)
-            except EncodingError as exc:
-                raise SimulationError(f"command {pos}: {exc}") from None
-            element = cmd.element
-            if element >= hw.n_elements:
-                raise SimulationError(f"command {pos}: element {element} out of range")
-            if cmd.destination >= hw.n_dac_pairs:
-                raise SimulationError(
-                    f"command {pos}: destination {cmd.destination} out of range "
-                    f"(n_dac_pairs={hw.n_dac_pairs})"
+        words, unfit = _wire_words(commands)
+        cmd, reserved = cmdcodec.decode_columns(words)
+        n = len(reserved)
+        n0 = cmd.trig_t * spc
+        end = n0 + cmd.length
+        # Per element, in position order: the trig_t of the command before
+        # and the end of the busy span of all commands before.
+        by_element = np.argsort(cmd.element, kind="stable")
+        grouped = cmd.element[by_element]
+        first = np.ones(n, dtype=bool)  # the first command of its element
+        np.not_equal(grouped[1:], grouped[:-1], out=first[1:])
+        # elements ascend, so offsetting each by a multiple of a span no
+        # end reaches makes one running maximum restart at every element
+        offset = grouped * (int(end.max(initial=0)) + 1)
+        busy = np.maximum.accumulate(offset + end[by_element]) - offset
+        prev_trig = np.empty_like(n0)
+        busy_until = np.empty_like(n0)
+        prev_trig[by_element[1:]] = cmd.trig_t[by_element[:-1]]
+        busy_until[by_element[1:]] = busy[:-1]
+        heads = by_element[first]
+        prev_trig[heads] = busy_until[heads] = -1
+        source = np.full(n, -1)
+        conditional = cmd.condition == 1
+        if conditional.any():
+            source_of = np.full(1 << cmdcodec.ELEMENT_BITS, -1)
+            for gated, flag_source in self.condition_map.items():
+                if flag_source is not None and 0 <= gated < len(source_of):
+                    source_of[gated] = flag_source
+            source[conditional] = source_of[cmd.element[conditional]]
+        checks = (
+            (unfit, f"command {{pos}}: command word does not fit {cmdcodec.COMMAND_BITS} bits"),
+            (reserved, "command {pos}: nonzero reserved bits in a command word"),
+            (cmd.element >= hw.n_elements, "command {pos}: element {element} out of range"),
+            (
+                cmd.destination >= hw.n_dac_pairs,
+                "command {pos}: destination {destination} out of range "
+                f"(n_dac_pairs={hw.n_dac_pairs})",
+            ),
+            (
+                end > shot_samples,
+                "command {pos}: window ends at sample {end}, "
+                f"beyond the {shot_samples}-sample repeat period",
+            ),
+            (cmd.trig_t < prev_trig, "element {element}: trig_t decreases at command {pos}"),
+            (n0 < busy_until, "element {element}: command {pos} triggers while busy"),
+            (
+                conditional & (source < 0),
+                "element {element} has a conditional command but no flag source",
+            ),
+        )
+        failed = np.logical_or.reduce([mask for mask, _ in checks])
+        if failed.any():
+            pos = int(np.argmax(failed))
+            message = next(message for mask, message in checks if mask[pos])
+            raise SimulationError(
+                message.format(
+                    pos=pos,
+                    element=int(cmd.element[pos]),
+                    destination=int(cmd.destination[pos]),
+                    end=int(end[pos]),
                 )
-            n0 = cmd.trig_t * spc
-            end = n0 + cmd.length
-            if end > shot_samples:
-                raise SimulationError(
-                    f"command {pos}: window ends at sample {end}, "
-                    f"beyond the {shot_samples}-sample repeat period"
-                )
-            prev_trig, busy_until = last.get(element, (-1, -1))
-            if cmd.trig_t < prev_trig:
-                raise SimulationError(f"element {element}: trig_t decreases at command {pos}")
-            if n0 < busy_until:
-                raise SimulationError(f"element {element}: command {pos} triggers while busy")
-            last[element] = (cmd.trig_t, max(busy_until, end))
-            source = self.condition_map.get(element) if cmd.condition else None
-            if cmd.condition and source is None:
-                raise SimulationError(
-                    f"element {element} has a conditional command but no flag source"
-                )
-            # Down windows complete first on a cycle, so a conditional
-            # command triggering on that cycle sees the flag.
-            if element >= hw.n_processing_elements_up:
-                windows[element] += 1
-                done = cmd.trig_t + -(-cmd.length // spc)
-                keyed.append((done, 0, element, pos, _Window(False, cmd, n0, source, None)))
-            elif cmd.length:  # a zero-length up window emits nothing
-                read_end = cmd.start + cmd.length
-                reach[element] = max(reach.get(element, 0), read_end)
-                fault = None
-                if read_end > depth:
-                    fault = f"read [{cmd.start}, {read_end}) beyond depth {depth}; zeros emitted"
-                keyed.append((cmd.trig_t, 1, element, pos, _Window(True, cmd, n0, source, fault)))
-        keyed.sort()  # positions are distinct, so no two keys tie
+            )
+        n_up = hw.n_processing_elements_up
+        down = cmd.element >= n_up
+        # Down windows complete first on a cycle, so a conditional command
+        # triggering on that cycle sees the flag.  A zero-length up window
+        # emits nothing.  The sort is stable: positions break ties.
+        plays = np.flatnonzero(down | (cmd.length > 0))
+        done = np.where(down, cmd.trig_t - (-cmd.length // spc), cmd.trig_t)
+        plays = plays[np.lexsort((cmd.element[plays], ~down[plays], done[plays]))]
+        up = ~down[plays]
+        element = cmd.element[plays]
+        start = cmd.start[plays]
+        length = cmd.length[plays]
+        read_end = start + length
+        fault = [None] * len(plays)
+        for i in np.flatnonzero(up & (read_end > depth)).tolist():
+            fault[i] = f"read [{start[i]}, {read_end[i]}) beyond depth {depth}; zeros emitted"
+        reach = np.zeros(1 << cmdcodec.ELEMENT_BITS, dtype=np.int64)  # end of furthest read
+        np.maximum.at(reach, element[up], read_end[up])
+        reached = np.flatnonzero(reach)
         return PreparedProgram(
             shot_samples=shot_samples,
-            windows=windows,
-            events=tuple(k[-1] for k in keyed),
-            envelopes={e: _padded(envelopes.get(e, ())[:depth], n) for e, n in reach.items()},
-            window_end=max((busy for _, busy in last.values()), default=0),
+            # Counter keeps the order of each down element's first command
+            windows=Counter(cmd.element[down].tolist()),
+            envelopes={
+                e: _padded(envelopes.get(e, ())[:depth], r)
+                for e, r in zip(reached.tolist(), reach[reached].tolist())
+            },
+            window_end=int(end.max(initial=0)),
+            up=up,
+            element=element,
+            destination=cmd.destination[plays],
+            trig_t=cmd.trig_t[plays],
+            n0=n0[plays],
+            length=length,
+            freq_word=cmd.freq_word[plays],
+            phase_word=cmd.phase_word[plays],
+            start=start,
+            source=source[plays],
+            fault=tuple(fault),
         )
 
     def _synthesize(self, prepared):
-        """``prepared.events`` with their samples, each distinct window
-        synthesized once.
+        """The samples of each of ``prepared``'s windows, in its order,
+        each distinct window synthesized once.
 
         A window's samples depend only on its synthesis key: the turn
         word of its first sample, its frequency word and length, and the
         envelope words an up window reads (never the element or address,
         whose memory a later program may rewrite).  Keys this simulator
         has met come from its memo; this call's distinct misses are
-        synthesized with one CORDIC call per block and stored."""
+        synthesized with one CORDIC call per block and stored.  A window's
+        samples are a (length, 2) int32 array: the unsaturated DAC
+        contribution of an up window, or the LO carrier of a down
+        window."""
+        p = prepared
         shift = _TURN_BITS - cmdcodec.PHASE_WORD_BITS
         mask = (1 << _TURN_BITS) - 1
-        keys = []
+        turns = ((p.phase_word << shift) + p.freq_word * p.n0) & mask
+        # Windows equal in first turn (24 bits), frequency (24) and length
+        # (12), and for up windows in element (8) and address (12), are
+        # one window here: each is keyed once, through its first window.
+        carriers = (turns << 36 | p.freq_word << 12 | p.length).tolist()
+        addresses = np.where(p.up, p.element << 12 | p.start, -1).tolist()
+        firsts = {}
+        same = [firsts.setdefault(w, i) for i, w in enumerate(zip(carriers, addresses))]
+        turns, freqs, lengths, elements, starts = (
+            c.tolist() for c in (turns, p.freq_word, p.length, p.element, p.start)
+        )
+        reads = {None: None}  # (element, start, length) -> the envelope bytes read
         found = {}  # this call's keys -> samples, so a clear loses none
         misses = {}  # key -> its first window, for keys not in the memo
-        for w in prepared.events:
-            cmd = w.cmd
-            words = None
-            if w.up:
-                words = prepared.envelopes[cmd.element][cmd.start : cmd.start + cmd.length]
-                words = words.tobytes()
-            turn = ((cmd.phase_word << shift) + cmd.freq_word * w.n0) & mask
-            key = (turn, cmd.freq_word, cmd.length, words)
-            keys.append(key)
+        keys = {}  # first window -> its key
+        for i in firsts.values():
+            read = (elements[i], starts[i], lengths[i]) if addresses[i] >= 0 else None
+            if read not in reads:
+                element, start, length = read
+                reads[read] = p.envelopes[element][start : start + length].tobytes()
+            key = keys[i] = (turns[i], freqs[i], lengths[i], reads[read])
             if key not in found:
                 found[key] = self._memo.get(key)
                 if found[key] is None:
-                    misses[key] = w
-        for block in _blocks(misses.items()):
-            windows = [w for _, w in block]
-            lengths = [w.cmd.length for w in windows]
-            first = np.cumsum([0] + lengths)
-            n = np.arange(first[-1]) + _per_sample(
-                np.array([w.n0 for w in windows]) - first[:-1], lengths
-            )
-            phase = _per_sample([w.cmd.phase_word << shift for w in windows], lengths)
-            freq = _per_sample([w.cmd.freq_word for w in windows], lengths)
+                    misses[key] = i
+        missed = np.fromiter(misses.values(), dtype=np.int64, count=len(misses))
+        first = np.concatenate(([0], np.cumsum(p.length[missed])))
+        missed_keys = list(misses)
+        lo = 0
+        while lo < len(missed):
+            # as many whole windows as fit one block, and at least one
+            hi = max(int(np.searchsorted(first, first[lo] + _SYNTH_BLOCK, "right")) - 1, lo + 1)
+            block = missed[lo:hi]
+            block_lengths = p.length[block]
+            offsets = first[lo : hi + 1] - first[lo]
+            n = np.arange(offsets[-1]) + _per_sample(p.n0[block] - offsets[:-1], block_lengths)
+            phase = _per_sample(p.phase_word[block] << shift, block_lengths)
+            freq = _per_sample(p.freq_word[block], block_lengths)
             cos, sin = cordic_cos_sin((phase + freq * n) & mask)
             samples = np.stack((cos, sin), axis=1).astype(np.int32)
-            up = np.repeat([w.up for w in windows], lengths)
+            up = np.repeat(p.up[block], block_lengths)
             if up.any():
-                reads = [
-                    prepared.envelopes[w.cmd.element][w.cmd.start : w.cmd.start + w.cmd.length]
-                    for w in windows
-                    if w.up
+                words = [
+                    p.envelopes[e][s : s + k]
+                    for u, e, s, k in zip(
+                        p.up[block], p.element[block], p.start[block], block_lengths
+                    )
+                    if u
                 ]
-                ei, eq = iq_lanes(np.concatenate(reads))
+                ei, eq = iq_lanes(np.concatenate(words))
                 ci, cq = cos[up], sin[up]
                 samples[up, 0] = _div_full_scale(ei * ci - eq * cq)
                 samples[up, 1] = _div_full_scale(ei * cq + eq * ci)
-            for (key, _), lo, hi in zip(block, first, first[1:]):
-                found[key] = self._remember(key, samples[lo:hi])
-        return tuple(w._replace(samples=found[key]) for w, key in zip(prepared.events, keys))
+            for key, a, b in zip(missed_keys[lo:hi], offsets, offsets[1:]):
+                found[key] = self._remember(key, samples[a:b])
+            lo = hi
+        return [found[keys[i]] for i in same]
 
     def _remember(self, key, samples):
         """Store a read-only copy of ``samples`` under ``key`` and return
@@ -613,10 +689,19 @@ class Simulator:
         index and its own fault entries, and shares its buffers.
         """
         depth = self.hw.acc_buffer_depth
-        events = self._synthesize(prepared)
-        invariant = getattr(self.wiring, "deterministic", False) and all(
-            w.source is None for w in events
-        )
+        p = prepared
+        plays = list(zip(
+            p.up.tolist(),
+            p.element.tolist(),
+            p.destination.tolist(),
+            p.trig_t.tolist(),
+            p.n0.tolist(),
+            (p.n0 + p.length).tolist(),
+            p.source.tolist(),
+            p.fault,
+            self._synthesize(p),
+        ))
+        invariant = getattr(self.wiring, "deterministic", False) and not np.any(p.source >= 0)
         first = None
         for shot in range(shots):
             with lock:
@@ -628,7 +713,7 @@ class Simulator:
                 state = first.replay(shot)  # capture and saturated are shot 0's
             else:
                 rng = np.random.default_rng(None if seed is None else (seed, shot))
-                state = _ShotState(self, prepared, events, shot, rng)
+                state = _ShotState(self, prepared, plays, shot, rng)
                 state.execute()
                 capture = None if acq is None else state.capture(acq)
                 saturated = state.saturation_count()
@@ -680,63 +765,66 @@ class Simulator:
 
 
 class _ShotState:
-    """One shot's signal state: exact DAC sums, DLO taps, flags."""
+    """One shot's signal state: exact DAC sums, DLO taps, flags.
 
-    def __init__(self, sim, prepared, events, shot, rng):
+    ``plays`` holds one tuple per window in execution order: up, element,
+    destination, trig_t, first and end sample, flag source (-1 when
+    unconditional), envelope fault detail and samples.
+    """
+
+    def __init__(self, sim, prepared, plays, shot, rng):
         self.sim = sim
         self.shot = shot
         self.rng = rng
         self.faults = []
         self.shot_samples = prepared.shot_samples
-        self.events = events
+        self.plays = plays
         # no window writes past window_end, so the buffers stop there
         self.window_end = prepared.window_end
-        self.dac_sum = {
-            p: np.zeros((self.window_end, 2), dtype=np.int64) for p in range(sim.hw.n_dac_pairs)
-        }
+        # int32 sums are exact: an up window adds at most 65,536 in
+        # magnitude per sample (|I*C - Q*S| <= 2 * 32768 * 32767 before the
+        # division by 32767), and windows of one element never overlap,
+        # so at most 256 windows (one per 8-bit element) add onto a
+        # sample: 256 * 65,536 = 2**24 < 2**31.
+        self._dac_sums = np.zeros((sim.hw.n_dac_pairs, self.window_end, 2), dtype=np.int32)
+        self.dac_sum = dict(enumerate(self._dac_sums))  # pair -> its view
         self.dlo_tap = {}
         self.flags = {}
         self.entries = {e: [] for e in prepared.windows}  # this shot's accumulator entries
 
     def _dac_read(self, pair, lo, hi):
-        """Saturated view of a DAC pair over [lo, hi) of the period, sliced
-        as a dense array of the period would be: zeros past window_end."""
+        """Saturated int64 view of a DAC pair over [lo, hi) of the period,
+        sliced as a dense array of the period would be: zeros past
+        window_end."""
         lo, hi, _ = slice(lo, hi).indices(self.shot_samples)
-        seg = np.clip(self.dac_sum[pair][lo:hi], -FULL_SCALE, FULL_SCALE)
+        seg = self.dac_sum[pair][lo:hi].astype(np.int64)
+        np.maximum(seg, -FULL_SCALE, out=seg)
+        np.minimum(seg, FULL_SCALE, out=seg)
         return seg if len(seg) >= hi - lo else _padded(seg, hi - lo)
 
     def execute(self):
-        for w in self.events:
-            if w.source is not None and not self.flags.get(w.source, 0):
+        flags = self.flags
+        for up, element, destination, trig_t, n0, n1, source, fault, samples in self.plays:
+            if source >= 0 and not flags.get(source, 0):
                 continue
-            element = w.cmd.element
-            if not w.up:
-                self.entries[element].append(self._run_down(w))
+            if not up:
+                self.entries[element].append(self._run_down(element, destination, n0, n1, samples))
                 continue
-            if w.fault is not None:
-                self.faults.append(
-                    FaultEntry(self.shot, element, w.cmd.trig_t, "envelope_oob", w.fault)
-                )
-            self.dac_sum[w.cmd.destination][w.n0 : w.n0 + w.cmd.length] += w.samples
+            if fault is not None:
+                self.faults.append(FaultEntry(self.shot, element, trig_t, "envelope_oob", fault))
+            self.dac_sum[destination][n0:n1] += samples
 
-    def _run_down(self, w):
-        element = w.cmd.element
-        n1 = w.n0 + w.cmd.length
-        adc = self.sim.wiring.read(
-            self.shot, w.cmd.destination, w.n0, n1, self._dac_read, self.rng
-        )
+    def _run_down(self, element, destination, n0, n1, samples):
+        adc = self.sim.wiring.read(self.shot, destination, n0, n1, self._dac_read, self.rng)
         if element not in self.dlo_tap:
             self.dlo_tap[element] = np.zeros((self.window_end, 2), dtype=np.int64)
-        self.dlo_tap[element][w.n0 : n1] = w.samples
-        ci, cq = w.samples.T.astype(np.int64)
-        ai = adc[:, 0]
-        aq = adc[:, 1]
+        self.dlo_tap[element][n0:n1] = samples
         # conj(dlo) demodulation with exact wide accumulation; one final
-        # division keeps the entry within i32.
-        sum_i = int(np.sum(ai * ci + aq * cq))
-        sum_q = int(np.sum(aq * ci - ai * cq))
-        entry_i = int(_div_full_scale(np.int64(sum_i)))
-        entry_q = int(_div_full_scale(np.int64(sum_q)))
+        # division keeps the entry within i32.  The 2x2 integer product
+        # holds ai.ci, ai.cq, aq.ci and aq.cq.
+        dots = adc.T @ samples.astype(np.int64)
+        sums = (dots[0, 0] + dots[1, 1], dots[1, 0] - dots[0, 1])
+        entry_i, entry_q = _div_full_scale(sums).tolist()
         classifier = self.sim.classifier_map.get(element, StateClassifier())
         self.flags[element] = classifier.classify(entry_i, entry_q)
         return (entry_i, entry_q)
@@ -750,10 +838,7 @@ class _ShotState:
         return twin
 
     def saturation_count(self):
-        count = 0
-        for arr in self.dac_sum.values():
-            count += int(np.count_nonzero(np.abs(arr) > FULL_SCALE))
-        return count
+        return int(np.count_nonzero(np.abs(self._dac_sums) > FULL_SCALE))
 
     def capture(self, acq: AcqConfig):
         hw = self.sim.hw

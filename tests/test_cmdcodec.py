@@ -17,6 +17,7 @@ from qubicforge.cmdcodec import (
     commands_from_bytes,
     commands_to_bytes,
     decode,
+    decode_columns,
     encode,
     freq_to_word,
     phase_to_word,
@@ -144,6 +145,49 @@ class TestLayout:
     def test_bytes_partial_word_rejected(self, size):
         with pytest.raises(EncodingError, match=f"got {size} bytes"):
             commands_from_bytes(bytes(size))
+
+
+class TestColumns:
+    """``decode_columns`` against the scalar ``decode``."""
+
+    @staticmethod
+    def columns(words):
+        wire = np.frombuffer(commands_to_bytes(words), ">u8").reshape(-1, 2)
+        columns, reserved = decode_columns(wire)
+        assert all(c.dtype == np.int64 and c.shape == (len(words),) for c in columns)
+        assert reserved.dtype == bool and reserved.shape == (len(words),)
+        return columns, reserved.tolist()
+
+    @given(st.lists(st.integers(0, (1 << 97) - 1), max_size=40))
+    @settings(max_examples=300)
+    def test_equals_decode_over_all_field_bits(self, words):
+        columns, reserved = self.columns(words)
+        assert reserved == [False] * len(words)
+        assert [CommandFields._make(row) for row in zip(*(c.tolist() for c in columns))] == [
+            decode(w) for w in words
+        ]
+
+    @given(st.lists(st.integers(0, (1 << 128) - 1), max_size=40))
+    @settings(max_examples=300)
+    def test_reserved_bits_masked_and_fields_decoded(self, words):
+        columns, reserved = self.columns(words)
+        assert reserved == [bool(w >> 97) for w in words]
+        fields = [decode(w & ((1 << 97) - 1)) for w in words]
+        assert [CommandFields._make(row) for row in zip(*(c.tolist() for c in columns))] == fields
+        for w, bad in zip(words, reserved):
+            if bad:
+                with pytest.raises(EncodingError, match="reserved"):
+                    decode(w)
+
+    def test_every_field_at_its_limit(self):
+        top = (1 << 128) - 1
+        columns, reserved = self.columns([encode(MAXED), top, 1 << 97, 1 << 127])
+        assert reserved == [False, True, True, True]
+        assert [c.tolist() for c in columns] == [[v, v, 0, 0] for v in MAXED]
+
+    def test_empty(self):
+        columns, reserved = self.columns([])
+        assert reserved == [] and all(c.tolist() == [] for c in columns)
 
 
 class TestFrequencyWord:

@@ -566,13 +566,20 @@ class TestExecution:
     @pytest.mark.parametrize("shots", [1, 3])
     def test_remote_run_decodes_each_command_once(self, server, monkeypatch, shots):
         prog = readout_program(n_reads=3)
-        decoded = []
-        decode = cmdcodec.decode
+        decoded, columns = [], []
+        decode, decode_columns = cmdcodec.decode, cmdcodec.decode_columns
         monkeypatch.setattr(cmdcodec, "decode", lambda word: decoded.append(word) or decode(word))
+        monkeypatch.setattr(
+            cmdcodec,
+            "decode_columns",
+            lambda words: columns.append(words.copy()) or decode_columns(words),
+        )
         with make_client(server) as client:
             result = client.run_program(prog, shots)
         assert result.shots_completed == shots
-        assert sorted(decoded) == sorted(prog.image.commands)
+        # START decodes COMMAND memory once, as columns, whatever the shots
+        assert decoded == []
+        assert [w.tobytes() for w in columns] == [cmdcodec.commands_to_bytes(prog.image.commands)]
 
     @pytest.mark.parametrize("shots", [1, 3])
     def test_remote_run_synthesizes_once(self, server, monkeypatch, shots):
@@ -616,6 +623,42 @@ class TestExecution:
         with recording_client(server) as client:
             with pytest.raises(SimulationError, match=message):
                 client.run_program(readout_program(), shots, acq=acq)
+            assert client.transport.sent == []
+
+    @pytest.mark.parametrize(
+        "envelopes",
+        [
+            {HW.n_processing_elements_up: (0x4000 << 16,) * 64},  # a down element
+            {99: (0x4000 << 16,) * 64},  # no such element
+            {0: (0x4000 << 16,) * (HW.envelope_buffer_depth + 100)},  # past depth
+        ],
+        ids=["down-element", "element-99", "past-depth"],
+    )
+    def test_envelopes_the_device_cannot_hold_run_as_locally(self, server, envelopes):
+        # a local run reads at most depth words of the up elements it
+        # addresses, so the upload sends no more than that
+        bare = read_window_image(64)
+        image = ProgramImage(bare.commands, {**bare.envelopes, **envelopes}, bare.repeat_cycles)
+        local = Simulator(HW, wiring=Loopback()).run(image, shots=2, seed=1234)
+        with recording_client(server) as client:
+            remote = client.run_program(image_program(image), 2)
+            assert envelope_writes(client.transport.sent) == [0]
+        assert remote.shots_completed == local.shots_completed == 2
+        assert set(remote.acc) == set(local.acc)
+        for element in local.acc:
+            assert np.array_equal(remote.acc[element], local.acc[element])
+
+    def test_commands_beyond_the_buffer_rejected_before_any_request(self, server):
+        depth = HW.command_buffer_depth
+        image = ProgramImage((0,) * (depth + 1), {}, 1)
+        message = f"^{depth + 1} commands exceed buffer depth {depth}$"
+        with pytest.raises(SimulationError, match=message):
+            Simulator(HW).run(image)
+        with recording_client(server) as client:
+            with pytest.raises(SimulationError, match=message):
+                client.run_program(image_program(image), 1)
+            with pytest.raises(SimulationError, match=message):
+                client.upload_program(image_program(image))
             assert client.transport.sent == []
 
     def test_start_answers_before_synthesis(self, server, monkeypatch):

@@ -1,6 +1,7 @@
 """Signal-path simulator: CORDIC, mixing, accumulation, gating."""
 
 import math
+import re
 import sys
 import threading
 
@@ -13,7 +14,13 @@ from qubicforge import SimulationError
 from qubicforge.errors import EncodingError
 from qubicforge.chipcfg import load_hardware_config
 from qubicforge import dspsim
-from qubicforge.cmdcodec import PHASE_WORD_BITS, CommandFields, decode, encode
+from qubicforge.cmdcodec import (
+    PHASE_WORD_BITS,
+    CommandFields,
+    commands_to_bytes,
+    decode,
+    encode,
+)
 from qubicforge.dspsim import (
     FULL_SCALE,
     MAX_REPEAT_CYCLES,
@@ -1073,8 +1080,10 @@ class TestRepeatBound:
 
 def reference_prepare(sim, image):
     """The multi-pass ``Simulator.prepare`` that the one-pass intake
-    replaced, kept as its oracle: (shot_samples, windows, events,
-    envelopes), or SimulationError."""
+    replaced, kept as the oracle of the columnar intake: (shot_samples,
+    windows, events, envelopes), or SimulationError.  Each event is
+    (up, command, first sample, flag source or None, fault detail or
+    None), in execution order."""
     hw = sim.hw
     if len(image.commands) > hw.command_buffer_depth:
         raise SimulationError(
@@ -1140,7 +1149,7 @@ def reference_prepare(sim, image):
             if end > depth:
                 fault = f"read [{cmd.start}, {end}) beyond depth {depth}; zeros emitted"
         source = sim.condition_map[element] if cmd.condition else None
-        events.append(dspsim._Window(bool(up), cmd, cmd.trig_t * spc, source, fault))
+        events.append((bool(up), cmd, cmd.trig_t * spc, source, fault))
     memory = {}
     for element, n in reach.items():
         stored = image.envelopes.get(element, ())[: min(n, depth)]
@@ -1179,15 +1188,18 @@ def faulty_positions(sim, image):
 
 HW3 = load_hardware_config('{"n_dac_pairs": 3}')  # destination 3 is out of range
 
-_MUTATIONS = ("reserved", "element", "destination", "trig_t", "length", "condition")
+_MUTATIONS = (
+    "reserved", "unfit", "element", "destination", "trig_t", "length", "condition"
+)
 
 
 @st.composite
 def intake_images(draw):
     """``window_images`` with up to three words mutated: reserved bits,
-    an out-of-range element or destination, a new trig_t or length
-    (windows past the period, decreasing trig_t, overlaps), or a set
-    condition bit (a conditional command without a flag source)."""
+    an int that does not fit 128 bits, an out-of-range element or
+    destination, a new trig_t or length (windows past the period,
+    decreasing trig_t, overlaps), or a set condition bit (a conditional
+    command without a flag source)."""
     image = draw(window_images())
     words = list(image.commands)
     for _ in range(draw(st.integers(0, 3)) if words else 0):
@@ -1195,6 +1207,9 @@ def intake_images(draw):
         kind = draw(st.sampled_from(_MUTATIONS))
         if kind == "reserved":
             words[pos] |= 1 << draw(st.integers(97, 127))
+            continue
+        if kind == "unfit":
+            words[pos] = draw(st.sampled_from([-1, -words[pos] - 1, words[pos] + (1 << 128)]))
             continue
         try:
             cmd = decode(words[pos])
@@ -1213,6 +1228,31 @@ def intake_images(draw):
             cmd = cmd._replace(condition=1)
         words[pos] = encode(cmd)
     return ProgramImage(words, image.envelopes, image.repeat_cycles)
+
+
+def wire_words(words):
+    """Command ints as the (n, 2) big-endian halves COMMAND memory holds."""
+    return np.frombuffer(commands_to_bytes(words), ">u8").reshape(-1, 2)
+
+
+def prepared_events(prepared):
+    """The columns of ``prepared`` as one (up, fields, n0, source, fault)
+    tuple per window, in the form of ``reference_prepare``'s events."""
+    p = prepared
+    columns = (
+        p.up, p.trig_t, p.start, p.length, p.freq_word, p.phase_word, p.element,
+        p.destination, p.source, p.n0,
+    )
+    assert {c.shape for c in columns} <= {(len(p.fault),)}
+    events = []
+    for up, trig_t, start, length, freq, phase, element, destination, source, n0, fault in zip(
+        *(c.tolist() for c in columns), p.fault
+    ):
+        cmd = CommandFields(
+            trig_t, start, length, freq, phase, element, destination, int(source >= 0)
+        )
+        events.append((up, cmd, n0, None if source < 0 else source, fault))
+    return events
 
 
 class TestIntake:
@@ -1238,17 +1278,32 @@ class TestIntake:
             shot_samples, windows, events, envelopes = expected
             assert got.shot_samples == shot_samples
             assert list(got.windows.items()) == list(windows.items())
-            assert got.events == tuple(events)
+            assert prepared_events(got) == events
             assert got.envelopes.keys() == envelopes.keys()
             for element, words in envelopes.items():
                 assert got.envelopes[element].dtype == words.dtype
                 assert np.array_equal(got.envelopes[element], words)
-            assert all(w.n0 + w.cmd.length <= got.window_end for w in got.events)
+            assert np.all(got.n0 + got.length <= got.window_end)
             assert got.window_end <= shot_samples
-        elif len(faulty) == 1:
-            assert error == expected_error
         else:
-            assert error is not None and len(faulty) > 1
+            # every command before the lowest faulty one passes, so the
+            # error is the reference's on the program that ends there
+            lowest = ProgramImage(
+                image.commands[: faulty[0] + 1], image.envelopes, image.repeat_cycles
+            )
+            with pytest.raises(SimulationError) as reference:
+                reference_prepare(sim, lowest)
+            assert error == str(reference.value)
+            if len(faulty) == 1:
+                assert error == expected_error
+        if all(0 <= w < 1 << 128 for w in image.commands):
+            # COMMAND memory's wire words take the same path
+            try:
+                wire = sim.prepare(wire_words(image.commands), image.repeat_cycles, image.envelopes)
+            except SimulationError as exc:
+                assert str(exc) == error
+            else:
+                assert error is None and prepared_events(wire) == prepared_events(got)
 
     def test_several_faults_report_the_lowest(self):
         image = ProgramImage(
@@ -1258,6 +1313,80 @@ class TestIntake:
         )
         with pytest.raises(SimulationError, match="^command 1: element 200 out of range$"):
             Simulator(HW).prepare(image.commands, image.repeat_cycles, image.envelopes)
+
+    @pytest.mark.parametrize(
+        "commands, message",
+        [
+            (
+                # busy at 1, reserved bits at 3
+                [up_cmd(length=64), up_cmd(trig_t=8, length=16), up_cmd(element=1), 1 << 100],
+                "element 0: command 1 triggers while busy",
+            ),
+            (
+                # reserved bits at 1, busy at 3
+                [up_cmd(length=64), 1 << 100, up_cmd(element=1), up_cmd(trig_t=8, length=16)],
+                "command 1: nonzero reserved bits in a command word",
+            ),
+            (
+                # a decreasing trig_t at 2 also overlaps; a window past the period at 3
+                [
+                    up_cmd(trig_t=20, length=8),
+                    up_cmd(element=1),
+                    up_cmd(trig_t=18, length=8),
+                    up_cmd(trig_t=0, length=999),
+                ],
+                "element 0: trig_t decreases at command 2",
+            ),
+            (
+                # no flag source at 0, an unknown element at 1
+                [down_cmd(condition=1), up_cmd(element=250)],
+                "element 16 has a conditional command but no flag source",
+            ),
+            (
+                # a window past the period at 1 on an element with no flag source
+                [up_cmd(), down_cmd(trig_t=30, length=64, condition=1)],
+                "command 1: window ends at sample 184, beyond the 128-sample repeat period",
+            ),
+            ([up_cmd(), up_cmd(element=1), 1 << 128], "command 2: command word does not fit 128 bits"),
+            ([up_cmd(), down_cmd(), (1 << 200) + 5], "command 2: command word does not fit 128 bits"),
+            ([up_cmd(), -1, up_cmd(element=60)], "command 1: command word does not fit 128 bits"),
+            ([up_cmd(), -(1 << 130)], "command 1: command word does not fit 128 bits"),
+            ([up_cmd(element=40), -5], "command 0: element 40 out of range"),
+            # several checks failing at one position: the first one names it
+            ([up_cmd(element=40) | 1 << 100], "command 0: nonzero reserved bits in a command word"),
+            ([up_cmd(element=40, trig_t=30)], "command 0: element 40 out of range"),
+            (
+                [up_cmd(trig_t=20, length=8), up_cmd(trig_t=10, length=999)],
+                "command 1: window ends at sample 1039, beyond the 128-sample repeat period",
+            ),
+            (
+                [down_cmd(length=64), down_cmd(trig_t=8, condition=1)],
+                "element 16: command 1 triggers while busy",
+            ),
+        ],
+    )
+    def test_lowest_failing_position_and_its_first_check_named(self, commands, message):
+        image = ProgramImage(commands, {}, 32)
+        sim = Simulator(HW)
+        with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+            sim.prepare(image.commands, image.repeat_cycles, image.envelopes)
+        # the first check each position fails, in the reference's order
+        lowest = faulty_positions(sim, image)[0]
+        with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+            reference_prepare(sim, ProgramImage(commands[: lowest + 1], {}, 32))
+
+    def test_wire_words_with_reserved_bits_fail_at_their_position(self):
+        words = [up_cmd(length=16), (1 << 127) | up_cmd(element=1), 1 << 97]
+        with pytest.raises(
+            SimulationError, match="^command 1: nonzero reserved bits in a command word$"
+        ):
+            Simulator(HW).prepare(wire_words(words), 32, {})
+
+    def test_empty_program(self):
+        for commands in ([], wire_words([])):
+            prepared = Simulator(HW).prepare(commands, 8, {})
+            assert prepared_events(prepared) == []
+            assert (prepared.window_end, prepared.windows, prepared.envelopes) == (0, {}, {})
 
     @pytest.mark.parametrize("cycles", [0, MAX_REPEAT_CYCLES + 1])
     def test_period_outside_the_bound_rejected(self, cycles):
@@ -1318,6 +1447,28 @@ class TestWindowEnd:
         assert state.dlo_tap[16].shape == (96, 2)
         assert res.dac[0].shape == (4096 * HW.samples_per_cycle, 2)
         assert np.any(res.acq[16:48]) and not np.any(res.acq[48:])
+
+
+class TestDacReads:
+    def test_external_dac_reader_returns_int64(self):
+        # the sums are int32; an External function still reads int64
+        words, _ = env_words()
+        image = ProgramImage(
+            commands=[up_cmd(length=96), up_cmd(element=1, length=96), down_cmd(trig_t=24)],
+            envelopes={0: words, 1: words},
+            repeat_cycles=64,
+        )
+        reads = []
+
+        def fn(shot, dac, rng):
+            reads.extend([dac(0, 0, 256), dac(0, 50, 60), dac(1, 0, 96)])
+            return {0: dac(0, 0, 256)}
+
+        res = Simulator(HW, wiring=External(fn)).run(image, acq=AcqConfig("dac", 0, 256))
+        assert [r.dtype for r in reads] == [np.int64] * 3
+        assert np.array_equal(reads[0], res.dac[0]) and res.dac[0].dtype == np.int32
+        # both full-scale windows sum beyond full scale and saturate
+        assert reads[0].max() == FULL_SCALE and res.saturation_count > 0
 
 
 class TestCaptureUnits:
