@@ -287,8 +287,8 @@ class DeviceServer:
     loop, which folds each shot into the device's buffers under the
     device lock, so STATUS can observe progress and STOP can interrupt.
     Under a deterministic wiring an unconditional program executes one
-    shot and replays it for the others.  Every START numbers
-    its shots from 0 and counts its own shots and faults, so one START
+    shot and replays it for the others.  Every START numbers its shots
+    from 0, counts its own shots and faults and zeroes ACQ, so one START
     of n shots equals a local run of n shots.  A STATUS with a wait
     budget holds the serving thread until the run ends or the budget
     runs out; no other datagram is answered meanwhile.  Rejected starts,
@@ -503,11 +503,15 @@ class DeviceServer:
         acq_cfg = None
         if acq_len:
             tap_idx = self.control[REG_ACQ_TAP]
-            if tap_idx >= len(ACQ_TAPS) or acq_len > self.hw.acq_buffer_depth:
+            if tap_idx >= len(ACQ_TAPS):
                 return self._status_reply(request, STATUS_BAD_RANGE)
             acq_cfg = AcqConfig(
                 tap=ACQ_TAPS[tap_idx], unit=self.control[REG_ACQ_UNIT], length=acq_len
             )
+            try:  # a capture longer than the buffer, or of a unit the hardware lacks
+                check_run(self.hw, self.control[REG_SHOTS], acq_cfg)
+            except SimulationError:
+                return self._status_reply(request, STATUS_BAD_RANGE)
         try:
             # Validate the program, and copy the envelope memory it reads,
             # before confirming the start.
@@ -516,7 +520,8 @@ class DeviceServer:
             logger.warning("start rejected: %s", exc)
             return self._status_reply(request, STATUS_BAD_STATE)
         self.running = True
-        # ACC and ACQ carry over; the shot and fault counts start again
+        # ACC carries over; ACQ, the shot and fault counts start again
+        self.buffers.acq[:] = 0
         self.buffers = RunBuffers(acc=self.buffers.acc, acq=self.buffers.acq)
         self._run_stop.clear()
         self._next_run = (prepared, self.control[REG_SHOTS], acq_cfg)

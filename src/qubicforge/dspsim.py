@@ -37,7 +37,7 @@ import numpy as np
 
 from . import cmdcodec
 from .envgen import iq_lanes, u32_array
-from .errors import EncodingError, SimulationError
+from .errors import SimulationError
 
 FULL_SCALE = 32767
 
@@ -152,8 +152,9 @@ class ProgramImage:
 
     ``commands`` are 128-bit integers in buffer order; ``envelopes`` maps
     an element index to its 32-bit envelope memory words, held as a tuple
-    of ints.  A word outside [0, 2**32) raises SimulationError, as does
-    a ``repeat_cycles`` outside [1, MAX_REPEAT_CYCLES].
+    of ints.  A command outside [0, 2**128) raises SimulationError naming
+    the lowest such position, as does an envelope word outside [0, 2**32)
+    or a ``repeat_cycles`` outside [1, MAX_REPEAT_CYCLES].
     """
 
     commands: tuple
@@ -162,6 +163,9 @@ class ProgramImage:
 
     def __post_init__(self):
         object.__setattr__(self, "commands", tuple(int(c) for c in self.commands))
+        for pos, word in enumerate(self.commands):
+            if word >> cmdcodec.COMMAND_BITS:  # negative, or wider than a command
+                raise SimulationError(f"command {pos}: command word does not fit 128 bits")
         object.__setattr__(
             self,
             "envelopes",
@@ -190,15 +194,14 @@ class PreparedProgram:
     """A validated program, from ``Simulator.prepare``.
 
     The shot's windows, not yet synthesized, are columns in execution
-    order, one entry per window: ``up`` (bool), ``element``,
-    ``destination``, ``trig_t``, ``n0`` (its first absolute sample),
-    ``length``, ``freq_word``, ``phase_word``, ``start`` (its envelope
-    address), ``source``, the element whose flag gates a conditional
-    window or -1, and ``fault``, a tuple holding the envelope-fault
-    detail of an up window that reads beyond depth (logged in every shot
-    it runs) or None.  ``envelopes`` holds a copy of the envelope memory
-    of each up element the windows address, as far as they read and zero
-    past depth; ``windows`` maps each down element with commands, in the
+    order, one entry per window: ``cmd``, a ``cmdcodec.CommandFields``
+    of the windows' decoded fields, and ``up`` (bool), ``n0`` (the first
+    absolute sample), ``source``, the element whose flag gates a
+    conditional window or -1, and ``fault``, a tuple holding the
+    envelope-fault detail of an up window that reads beyond depth
+    (logged in every shot it runs) or None.  ``envelopes`` holds a copy
+    of the envelope memory of each up element the windows address, as
+    far as they read and zero past depth; ``windows`` maps each down element with commands, in the
     order of its first command, to the accumulator entries one shot
     appends.  ``window_end`` is the sample where the last window ends: a
     shot holds DAC and DLO samples up to it, and everything after it up
@@ -209,15 +212,9 @@ class PreparedProgram:
     windows: dict
     envelopes: dict
     window_end: int
+    cmd: cmdcodec.CommandFields
     up: np.ndarray
-    element: np.ndarray
-    destination: np.ndarray
-    trig_t: np.ndarray
     n0: np.ndarray
-    length: np.ndarray
-    freq_word: np.ndarray
-    phase_word: np.ndarray
-    start: np.ndarray
     source: np.ndarray
     fault: tuple
 
@@ -325,7 +322,8 @@ class RunBuffers:
 #
 # A wiring whose ``deterministic`` attribute is true declares that what it
 # reads depends only on the DAC samples, never on the shot or its random
-# stream.  Any other wiring is read afresh in every shot.
+# stream, and its ``read`` is given None for the stream.  Any other wiring
+# is read afresh in every shot, with the shot's random stream.
 
 
 class OpenLoop:
@@ -390,14 +388,22 @@ class External:
 
 
 def check_run(hw, shots, acq):
-    """Reject a negative shot count or a capture longer than the
-    acquisition buffer, as a run on ``hw`` would."""
+    """Reject a negative shot count, or a capture longer than the
+    acquisition buffer or of a unit ``hw`` lacks, as a run on ``hw``
+    would."""
     if shots < 0:
         raise SimulationError(f"shots must be >= 0, got {shots}")
-    if acq is not None and acq.length > hw.acq_buffer_depth:
+    if acq is None:
+        return
+    if acq.length > hw.acq_buffer_depth:
         raise SimulationError(
             f"acquisition length {acq.length} exceeds depth {hw.acq_buffer_depth}"
         )
+    if acq.tap == "dlo":
+        if not hw.n_processing_elements_up <= acq.unit < hw.n_elements:
+            raise SimulationError(f"no down element {acq.unit}")
+    elif not 0 <= acq.unit < hw.n_dac_pairs:
+        raise SimulationError(f"no {acq.tap.upper()} pair {acq.unit}")
 
 
 def check_command_count(hw, n_commands):
@@ -406,21 +412,6 @@ def check_command_count(hw, n_commands):
         raise SimulationError(
             f"{n_commands} commands exceed buffer depth {hw.command_buffer_depth}"
         )
-
-
-def _wire_words(commands):
-    """``commands`` as (n, 2) wire words, and a mask of the words that
-    do not fit 128 bits (stored as zero); ints are packed big-endian."""
-    if isinstance(commands, np.ndarray) and commands.ndim == 2:
-        return commands, np.zeros(len(commands), dtype=bool)
-    try:
-        data = cmdcodec.commands_to_bytes(commands)
-        unfit = np.zeros(len(commands), dtype=bool)
-    except EncodingError:
-        words = [int(w) for w in commands]
-        unfit = np.array([not 0 <= w < 1 << cmdcodec.COMMAND_BITS for w in words])
-        data = cmdcodec.commands_to_bytes([0 if bad else w for w, bad in zip(words, unfit)])
-    return np.frombuffer(data, ">u8").reshape(-1, 2), unfit
 
 
 # ---------------------------------------------------------------------------
@@ -456,16 +447,16 @@ class Simulator:
     def prepare(self, commands, repeat_cycles, envelopes) -> PreparedProgram:
         """Decode and validate a program once for every shot that runs it.
 
-        ``commands`` are wire words, an (n, 2) array of 64-bit halves as
-        ``cmdcodec.decode_columns`` reads them, or 128-bit ints; either
-        way they are decoded into columns once and every check is a mask
-        over all of them.  A command's checks depend only on the commands
-        before it, so a SimulationError names the lowest faulty command,
-        with the first check it fails in this order: the word fits 128
-        bits, its reserved bits are zero, its element and destination
-        exist, its window ends within the period, its element's trig_t
-        does not decrease and the element is not busy, and a conditional
-        command's element has a flag source.  A period outside [1,
+        ``commands`` are wire words, the (n, 2) array of 64-bit halves
+        that COMMAND memory holds, as ``cmdcodec.decode_columns`` reads
+        them; they are decoded into columns once and every check is a
+        mask over all of them.  A command's checks depend only on the
+        commands before it, so a SimulationError names the lowest faulty
+        command, with the first check it fails in this order: its
+        reserved bits are zero, its element and destination exist, its
+        window ends within the period, its element's trig_t does not
+        decrease and the element is not busy, and a conditional command's
+        element has a flag source.  A period outside [1,
         MAX_REPEAT_CYCLES] or more commands than the buffer holds is
         rejected first.  ``envelopes`` maps an up element to its 32-bit
         words; the result copies those its commands read.
@@ -475,8 +466,7 @@ class Simulator:
         check_command_count(hw, len(commands))
         spc, depth = hw.samples_per_cycle, hw.envelope_buffer_depth
         shot_samples = repeat_cycles * spc
-        words, unfit = _wire_words(commands)
-        cmd, reserved = cmdcodec.decode_columns(words)
+        cmd, reserved = cmdcodec.decode_columns(commands)
         n = len(reserved)
         n0 = cmd.trig_t * spc
         end = n0 + cmd.length
@@ -505,7 +495,6 @@ class Simulator:
                     source_of[gated] = flag_source
             source[conditional] = source_of[cmd.element[conditional]]
         checks = (
-            (unfit, f"command {{pos}}: command word does not fit {cmdcodec.COMMAND_BITS} bits"),
             (reserved, "command {pos}: nonzero reserved bits in a command word"),
             (cmd.element >= hw.n_elements, "command {pos}: element {element} out of range"),
             (
@@ -546,15 +535,14 @@ class Simulator:
         done = np.where(down, cmd.trig_t - (-cmd.length // spc), cmd.trig_t)
         plays = plays[np.lexsort((cmd.element[plays], ~down[plays], done[plays]))]
         up = ~down[plays]
-        element = cmd.element[plays]
-        start = cmd.start[plays]
-        length = cmd.length[plays]
-        read_end = start + length
+        played = cmdcodec.CommandFields._make(c[plays] for c in cmd)
+        start = played.start
+        read_end = start + played.length
         fault = [None] * len(plays)
         for i in np.flatnonzero(up & (read_end > depth)).tolist():
             fault[i] = f"read [{start[i]}, {read_end[i]}) beyond depth {depth}; zeros emitted"
         reach = np.zeros(1 << cmdcodec.ELEMENT_BITS, dtype=np.int64)  # end of furthest read
-        np.maximum.at(reach, element[up], read_end[up])
+        np.maximum.at(reach, played.element[up], read_end[up])
         reached = np.flatnonzero(reach)
         return PreparedProgram(
             shot_samples=shot_samples,
@@ -565,15 +553,9 @@ class Simulator:
                 for e, r in zip(reached.tolist(), reach[reached].tolist())
             },
             window_end=int(end.max(initial=0)),
+            cmd=played,
             up=up,
-            element=element,
-            destination=cmd.destination[plays],
-            trig_t=cmd.trig_t[plays],
             n0=n0[plays],
-            length=length,
-            freq_word=cmd.freq_word[plays],
-            phase_word=cmd.phase_word[plays],
-            start=start,
             source=source[plays],
             fault=tuple(fault),
         )
@@ -582,56 +564,52 @@ class Simulator:
         """The samples of each of ``prepared``'s windows, in its order,
         each distinct window synthesized once.
 
-        A window's samples depend only on its synthesis key: the turn
-        word of its first sample, its frequency word and length, and the
-        envelope words an up window reads (never the element or address,
-        whose memory a later program may rewrite).  Keys this simulator
-        has met come from its memo; this call's distinct misses are
-        synthesized with one CORDIC call per block and stored.  A window's
-        samples are a (length, 2) int32 array: the unsaturated DAC
-        contribution of an up window, or the LO carrier of a down
+        A window's samples depend only on its synthesis key: one int,
+        ``turn << 36 | freq_word << 12 | length`` with ``turn`` the turn
+        word of its first sample, and the envelope bytes an up window
+        reads, or None for a down window (never the element or address,
+        whose memory a later program may rewrite).  The envelope bytes are
+        read once per distinct (element, start, length).  Keys this
+        simulator has met come from its memo; this call's distinct misses
+        are synthesized with one CORDIC call per block and stored.  A
+        window's samples are a (length, 2) int32 array: the unsaturated
+        DAC contribution of an up window, or the LO carrier of a down
         window."""
-        p = prepared
+        p, c = prepared, prepared.cmd
         shift = _TURN_BITS - cmdcodec.PHASE_WORD_BITS
         mask = (1 << _TURN_BITS) - 1
-        turns = ((p.phase_word << shift) + p.freq_word * p.n0) & mask
-        # Windows equal in first turn (24 bits), frequency (24) and length
-        # (12), and for up windows in element (8) and address (12), are
-        # one window here: each is keyed once, through its first window.
-        carriers = (turns << 36 | p.freq_word << 12 | p.length).tolist()
-        addresses = np.where(p.up, p.element << 12 | p.start, -1).tolist()
-        firsts = {}
-        same = [firsts.setdefault(w, i) for i, w in enumerate(zip(carriers, addresses))]
-        turns, freqs, lengths, elements, starts = (
-            c.tolist() for c in (turns, p.freq_word, p.length, p.element, p.start)
-        )
-        reads = {None: None}  # (element, start, length) -> the envelope bytes read
+        turns = ((c.phase_word << shift) + c.freq_word * p.n0) & mask
+        # first turn (24 bits), frequency (24) and length (12)
+        carriers = (turns << 36 | c.freq_word << 12 | c.length).tolist()
+        # an up window's read, element (8 bits), start (12) and length (12)
+        reads = np.where(p.up, c.element << 24 | c.start << 12 | c.length, -1).tolist()
+        envelopes = {-1: None}  # read -> the envelope bytes it reads; none for down
+        keys = []  # each window's key
         found = {}  # this call's keys -> samples, so a clear loses none
         misses = {}  # key -> its first window, for keys not in the memo
-        keys = {}  # first window -> its key
-        for i in firsts.values():
-            read = (elements[i], starts[i], lengths[i]) if addresses[i] >= 0 else None
-            if read not in reads:
-                element, start, length = read
-                reads[read] = p.envelopes[element][start : start + length].tobytes()
-            key = keys[i] = (turns[i], freqs[i], lengths[i], reads[read])
+        for i, (carrier, read) in enumerate(zip(carriers, reads)):
+            if read not in envelopes:
+                start, length = read >> 12 & 0xFFF, read & 0xFFF
+                envelopes[read] = p.envelopes[read >> 24][start : start + length].tobytes()
+            key = (carrier, envelopes[read])
+            keys.append(key)
             if key not in found:
                 found[key] = self._memo.get(key)
                 if found[key] is None:
                     misses[key] = i
         missed = np.fromiter(misses.values(), dtype=np.int64, count=len(misses))
-        first = np.concatenate(([0], np.cumsum(p.length[missed])))
+        first = np.concatenate(([0], np.cumsum(c.length[missed])))
         missed_keys = list(misses)
         lo = 0
         while lo < len(missed):
             # as many whole windows as fit one block, and at least one
             hi = max(int(np.searchsorted(first, first[lo] + _SYNTH_BLOCK, "right")) - 1, lo + 1)
             block = missed[lo:hi]
-            block_lengths = p.length[block]
+            block_lengths = c.length[block]
             offsets = first[lo : hi + 1] - first[lo]
             n = np.arange(offsets[-1]) + _per_sample(p.n0[block] - offsets[:-1], block_lengths)
-            phase = _per_sample(p.phase_word[block] << shift, block_lengths)
-            freq = _per_sample(p.freq_word[block], block_lengths)
+            phase = _per_sample(c.phase_word[block] << shift, block_lengths)
+            freq = _per_sample(c.freq_word[block], block_lengths)
             cos, sin = cordic_cos_sin((phase + freq * n) & mask)
             samples = np.stack((cos, sin), axis=1).astype(np.int32)
             up = np.repeat(p.up[block], block_lengths)
@@ -639,7 +617,7 @@ class Simulator:
                 words = [
                     p.envelopes[e][s : s + k]
                     for u, e, s, k in zip(
-                        p.up[block], p.element[block], p.start[block], block_lengths
+                        p.up[block], c.element[block], c.start[block], block_lengths
                     )
                     if u
                 ]
@@ -650,7 +628,7 @@ class Simulator:
             for key, a, b in zip(missed_keys[lo:hi], offsets, offsets[1:]):
                 found[key] = self._remember(key, samples[a:b])
             lo = hi
-        return [found[keys[i]] for i in same]
+        return [found[key] for key in keys]
 
     def _remember(self, key, samples):
         """Store a read-only copy of ``samples`` under ``key`` and return
@@ -671,12 +649,13 @@ class Simulator:
     def shots(self, prepared, shots, out, acq=None, seed=None, lock=nullcontext(), stop=None):
         """Run up to ``shots`` shots of ``prepared``, folding each into ``out``.
 
-        Shot ``k`` draws from the random stream ``(seed, k)``.  Each
-        finished shot appends its accumulator entries to ``out.acc``,
-        adds its faults and saturated samples to the counts, writes its
-        ``acq`` capture into the first rows of ``out.acq`` and counts
-        itself; then it is yielded, with its ``faults``, ``flags`` and
-        DAC sums.  ``out`` is read and written under ``lock``.  Before
+        Shot ``k`` draws from the random stream ``(seed, k)``; a
+        deterministic wiring, which never reads it, is given None.
+        ``acq`` is a capture that ``check_run`` accepts.  Each finished
+        shot appends its accumulator entries to ``out.acc``, adds its
+        faults and saturated samples to the counts, writes its ``acq``
+        capture into the first rows of ``out.acq`` and counts itself;
+        then it is yielded, with its ``faults``, ``flags`` and DAC sums.  ``out`` is read and written under ``lock``.  Before
         each shot the loop stops if ``stop`` is set or a window would
         overflow the accumulator depth, counting entries ``out.acc``
         already holds.  The program's windows are synthesized before
@@ -689,19 +668,11 @@ class Simulator:
         index and its own fault entries, and shares its buffers.
         """
         depth = self.hw.acc_buffer_depth
-        p = prepared
-        plays = list(zip(
-            p.up.tolist(),
-            p.element.tolist(),
-            p.destination.tolist(),
-            p.trig_t.tolist(),
-            p.n0.tolist(),
-            (p.n0 + p.length).tolist(),
-            p.source.tolist(),
-            p.fault,
-            self._synthesize(p),
-        ))
-        invariant = getattr(self.wiring, "deterministic", False) and not np.any(p.source >= 0)
+        p, c = prepared, prepared.cmd
+        columns = (p.up, c.element, c.destination, c.trig_t, p.n0, p.n0 + c.length, p.source)
+        plays = list(zip(*(a.tolist() for a in columns), p.fault, self._synthesize(p)))
+        deterministic = getattr(self.wiring, "deterministic", False)
+        invariant = deterministic and not np.any(p.source >= 0)
         first = None
         for shot in range(shots):
             with lock:
@@ -712,7 +683,8 @@ class Simulator:
             if first is not None:
                 state = first.replay(shot)  # capture and saturated are shot 0's
             else:
-                rng = np.random.default_rng(None if seed is None else (seed, shot))
+                stream = None if seed is None else (seed, shot)
+                rng = None if deterministic else np.random.default_rng(stream)
                 state = _ShotState(self, prepared, plays, shot, rng)
                 state.execute()
                 capture = None if acq is None else state.capture(acq)
@@ -737,7 +709,8 @@ class Simulator:
         ``SimResult.dac`` holds the final shot's DAC pairs over the whole
         repeat period."""
         check_run(self.hw, shots, acq)
-        prepared = self.prepare(image.commands, image.repeat_cycles, image.envelopes)
+        words = np.frombuffer(cmdcodec.commands_to_bytes(image.commands), ">u8")
+        prepared = self.prepare(words.reshape(-1, 2), image.repeat_cycles, image.envelopes)
         out = RunBuffers(
             acc={e: [] for e in prepared.windows},
             acq=np.zeros((acq.length if acq else 0, 2), dtype=np.int32),
@@ -841,15 +814,11 @@ class _ShotState:
         return int(np.count_nonzero(np.abs(self._dac_sums) > FULL_SCALE))
 
     def capture(self, acq: AcqConfig):
-        hw = self.sim.hw
+        """This shot's ``acq`` capture; ``check_run`` has checked its unit."""
         n = min(acq.length, self.shot_samples)
         if acq.tap == "dlo":
-            if hw.n_processing_elements_up <= acq.unit < hw.n_elements:
-                tap = self.dlo_tap.get(acq.unit, np.zeros((0, 2), dtype=np.int64))
-                return _padded(tap, acq.length, np.int32)
-            raise SimulationError(f"no down element {acq.unit}")
-        if not 0 <= acq.unit < hw.n_dac_pairs:
-            raise SimulationError(f"no {acq.tap.upper()} pair {acq.unit}")
+            tap = self.dlo_tap.get(acq.unit, np.zeros((0, 2), dtype=np.int64))
+            return _padded(tap, acq.length, np.int32)
         if acq.tap == "dac":
             return _padded(self._dac_read(acq.unit, 0, n), acq.length, np.int32)
         adc = self.sim.wiring.read(self.shot, acq.unit, 0, n, self._dac_read, self.rng)

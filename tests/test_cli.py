@@ -279,7 +279,15 @@ class TestRemote:
         assert len(acq) == 1 + 200 and acq[1:] != ["0,0,0"] * 200
 
     @pytest.mark.parametrize(
-        "flags", [["--shots", "-1"], ["--acq-length", "100000"]], ids=["shots", "acq-length"]
+        "flags",
+        [
+            ["--shots", "-1"],
+            ["--acq-length", "100000"],
+            ["--acq-length", "10", "--acq-unit", "9"],
+            ["--acq-length", "10", "--acq-tap", "dlo", "--acq-unit", "2"],
+            ["--acq-length", "10", "--acq-unit", "-1"],
+        ],
+        ids=["shots", "acq-length", "adc-unit", "dlo-unit", "negative-unit"],
     )
     def test_run_rejects_what_simulate_rejects(self, compiled, emulator, flags, tmp_path, capsys):
         common = ["--program", str(compiled / "program.qfpb"), *flags, "--out", str(tmp_path)]

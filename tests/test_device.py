@@ -37,6 +37,8 @@ from qubicforge.device import (
     OP_STOP,
     OP_WRITE,
     REG_ACC_CLEAR,
+    REG_ACQ_TAP,
+    REG_ACQ_UNIT,
     REG_ENVELOPE_DEPTH,
     REG_N_COMMANDS,
     REG_REPEAT_CYCLES,
@@ -251,6 +253,17 @@ def per_shot_server():
     srv = DeviceServer(HW, wiring=PerShotLoopback(), seed=1234).start()
     yield srv
     srv.stop()
+
+
+class FailingLoopback(Loopback):
+    """``Loopback`` whose ADC reads raise while ``failing`` is set."""
+
+    failing = True
+
+    def read(self, *args):
+        if self.failing:
+            raise SimulationError("wiring failed")
+        return super().read(*args)
 
 
 def make_client(srv, **kwargs):
@@ -714,31 +727,86 @@ class TestExecution:
         with pytest.raises(SimulationError, match="^command 0: nonzero reserved bits"):
             Simulator(HW).run(image)
 
-    def test_aborted_run(self, server, caplog):
+    def test_aborted_run(self, caplog):
         prog = readout_program()
-        acq = AcqConfig(tap="adc", unit=9, length=64)
-        with pytest.raises(SimulationError, match="^no ADC pair 9$"):
-            simulate_program(prog, wiring=Loopback(), shots=2, acq=acq, seed=1234)
-        with make_client(server) as client:
-            remote = client.run_program(prog, 2, acq=acq)
+        wiring = FailingLoopback()
+        with pytest.raises(SimulationError, match="^wiring failed$"):
+            simulate_program(prog, wiring=wiring, shots=2, seed=1234)
+        with DeviceServer(HW, wiring=wiring, seed=1234) as srv, make_client(srv) as client:
+            remote = client.run_program(prog, 2)
         assert (remote.shots_completed, remote.fault_count) == (0, 1)
-        assert device_log(caplog) == ["run aborted: no ADC pair 9"]
+        assert device_log(caplog) == ["run aborted: wiring failed"]
 
-    def test_dlo_capture_of_an_up_element_aborts(self, server, caplog):
-        acq = AcqConfig(tap="dlo", unit=0, length=64)
+    @pytest.mark.parametrize(
+        "acq, message",
+        [
+            (AcqConfig(tap="adc", unit=9, length=64), "no ADC pair 9"),
+            (AcqConfig(tap="dac", unit=-1, length=64), "no DAC pair -1"),
+            (AcqConfig(tap="dlo", unit=0, length=64), "no down element 0"),
+            (AcqConfig(tap="dlo", unit=HW.n_elements, length=64), f"no down element {HW.n_elements}"),
+        ],
+    )
+    def test_capture_of_a_missing_unit_rejected(self, server, caplog, acq, message):
+        # as a local run rejects it, before any request
+        with pytest.raises(SimulationError, match=f"^{message}$"):
+            simulate_program(readout_program(), wiring=Loopback(), shots=2, acq=acq)
         with make_client(server) as client:
-            remote = client.run_program(readout_program(), 2, acq=acq)
-        assert (remote.shots_completed, remote.fault_count) == (0, 1)
-        assert device_log(caplog) == ["run aborted: no down element 0"]
+            with pytest.raises(SimulationError, match=f"^{message}$"):
+                client.run_program(readout_program(), 2, acq=acq)
+            assert client.read_region(REGION_CONTROL, 0, REG_SHOTS, 1) == [0]
+            assert client.status() == (False, 0, 0)
+        assert device_log(caplog) == []
 
-    def test_fault_count_is_per_start(self, server):
+    @pytest.mark.parametrize(
+        "tap, unit", [("adc", 4), ("dac", 2**31), ("dlo", 0), ("dlo", HW.n_elements)]
+    )
+    def test_start_answers_bad_range_for_a_missing_capture_unit(self, server, tap, unit):
+        with make_client(server) as client:
+            client.upload_program(readout_program())
+            client.write_region(REGION_CONTROL, 0, REG_ACQ_TAP, [ACQ_TAPS.index(tap), unit, 64])
+            with pytest.raises(TransportError, match="bad range"):
+                client.start(1)
+            assert client.status() == (False, 0, 0)  # the refused START runs nothing
+            # the unit alone was at fault
+            client.write_control(REG_ACQ_UNIT, HW.n_processing_elements_up if tap == "dlo" else 0)
+            client.start(1)
+            assert client.wait()[0] == 1
+
+    @pytest.mark.parametrize("overflow", [False, True], ids=["no-shot", "acc-overflow"])
+    def test_start_zeroes_the_capture(self, overflow):
+        # a START that completes no shot, because none is asked for or its
+        # first shot would overflow ACC, returns what a local run does
+        hw = load_hardware_config('{"acc_buffer_depth": 1}')
+        one_read = read_window_image(64)
+        second = cmdcodec.CommandFields(
+            element=HW.n_processing_elements_up, trig_t=16, length=64, destination=0
+        )
+        two_reads = ProgramImage(
+            one_read.commands + (cmdcodec.encode(second),), one_read.envelopes, 32
+        )
+        acq = AcqConfig(tap="dac", unit=0, length=64)
+        program, shots = (image_program(two_reads, hw), 2) if overflow else (
+            image_program(one_read, hw), 0
+        )
+        with DeviceServer(hw, wiring=Loopback(), seed=1234) as srv, make_client(srv) as client:
+            assert client.run_program(image_program(one_read, hw), 1, acq=acq).acq.any()
+            remote = client.run_program(program, shots, acq=acq)
+        local = simulate_program(program, wiring=Loopback(), shots=shots, acq=acq)
+        assert remote.shots_completed == local.shots_completed == 0
+        assert np.array_equal(remote.acq, local.acq) and not local.acq.any()
+
+    def test_fault_count_is_per_start(self):
         prog = image_program(faulty_image(HW))
         local = simulate_program(prog, wiring=Loopback(), shots=2, seed=1234)
         faults = len(local.fault_log) + local.saturation_count
         assert faults > 0
-        with make_client(server) as client:
+        wiring = FailingLoopback()
+        with DeviceServer(HW, wiring=wiring, seed=1234) as srv, make_client(srv) as client:
+            wiring.failing = False
             counts = [client.run_program(prog, 2).fault_count for _ in range(2)]
-            client.run_program(prog, 2, acq=AcqConfig(tap="adc", unit=9, length=64))
+            wiring.failing = True  # an aborted run counts one fault
+            assert client.run_program(prog, 2).fault_count == 1
+            wiring.failing = False
             counts.append(client.run_program(prog, 2).fault_count)
         assert counts == [faults] * 3
 

@@ -526,7 +526,7 @@ class TestConditionalGating:
         )
         sim = Simulator(HW)
         with pytest.raises(SimulationError, match="element 16 has a conditional command"):
-            sim.prepare(image.commands, image.repeat_cycles, image.envelopes)
+            sim.prepare(wire_words(image.commands), image.repeat_cycles, image.envelopes)
         with pytest.raises(SimulationError, match="no flag source"):
             sim.run(image, shots=0)
 
@@ -1058,6 +1058,25 @@ class TestShotInvariance:
         assert res.shots_completed == 6
         assert calls == list(range(6))
 
+    def test_random_streams_only_for_wirings_that_read_them(self, monkeypatch):
+        made = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or default_rng(*a))
+        images = [TestConditionalGating().make_image(condition) for condition in (0, 1)]
+        # one shot replayed, every shot executed, and no ADC input at all
+        for wiring, image in zip((Loopback(0), Loopback(0), OpenLoop()), images + images[:1]):
+            assert Simulator(HW, wiring=wiring).run(image, shots=3, seed=9).shots_completed == 3
+        assert made == []
+        draws = []
+
+        def fn(shot, dac, rng):
+            draws.append(rng.integers(1 << 62))
+            return {}
+
+        Simulator(HW, wiring=External(fn)).run(images[0], shots=3, seed=9)
+        assert made == [((9, shot),) for shot in range(3)]
+        assert draws == [default_rng((9, shot)).integers(1 << 62) for shot in range(3)]
+
 
 class TestRepeatBound:
     def test_bound_is_the_longest_command_reach(self):
@@ -1188,18 +1207,15 @@ def faulty_positions(sim, image):
 
 HW3 = load_hardware_config('{"n_dac_pairs": 3}')  # destination 3 is out of range
 
-_MUTATIONS = (
-    "reserved", "unfit", "element", "destination", "trig_t", "length", "condition"
-)
+_MUTATIONS = ("reserved", "element", "destination", "trig_t", "length", "condition")
 
 
 @st.composite
 def intake_images(draw):
     """``window_images`` with up to three words mutated: reserved bits,
-    an int that does not fit 128 bits, an out-of-range element or
-    destination, a new trig_t or length (windows past the period,
-    decreasing trig_t, overlaps), or a set condition bit (a conditional
-    command without a flag source)."""
+    an out-of-range element or destination, a new trig_t or length
+    (windows past the period, decreasing trig_t, overlaps), or a set
+    condition bit (a conditional command without a flag source)."""
     image = draw(window_images())
     words = list(image.commands)
     for _ in range(draw(st.integers(0, 3)) if words else 0):
@@ -1207,9 +1223,6 @@ def intake_images(draw):
         kind = draw(st.sampled_from(_MUTATIONS))
         if kind == "reserved":
             words[pos] |= 1 << draw(st.integers(97, 127))
-            continue
-        if kind == "unfit":
-            words[pos] = draw(st.sampled_from([-1, -words[pos] - 1, words[pos] + (1 << 128)]))
             continue
         try:
             cmd = decode(words[pos])
@@ -1239,18 +1252,11 @@ def prepared_events(prepared):
     """The columns of ``prepared`` as one (up, fields, n0, source, fault)
     tuple per window, in the form of ``reference_prepare``'s events."""
     p = prepared
-    columns = (
-        p.up, p.trig_t, p.start, p.length, p.freq_word, p.phase_word, p.element,
-        p.destination, p.source, p.n0,
-    )
+    columns = (p.up, *p.cmd, p.source, p.n0)
     assert {c.shape for c in columns} <= {(len(p.fault),)}
     events = []
-    for up, trig_t, start, length, freq, phase, element, destination, source, n0, fault in zip(
-        *(c.tolist() for c in columns), p.fault
-    ):
-        cmd = CommandFields(
-            trig_t, start, length, freq, phase, element, destination, int(source >= 0)
-        )
+    for up, *fields, source, n0, fault in zip(*(c.tolist() for c in columns), p.fault):
+        cmd = CommandFields._make(fields)
         events.append((up, cmd, n0, None if source < 0 else source, fault))
     return events
 
@@ -1269,7 +1275,8 @@ class TestIntake:
         except SimulationError as exc:
             expected_error = str(exc)
         try:
-            got, error = sim.prepare(image.commands, image.repeat_cycles, image.envelopes), None
+            words = wire_words(image.commands)
+            got, error = sim.prepare(words, image.repeat_cycles, image.envelopes), None
         except SimulationError as exc:
             error = str(exc)
         faulty = faulty_positions(sim, image)
@@ -1283,7 +1290,7 @@ class TestIntake:
             for element, words in envelopes.items():
                 assert got.envelopes[element].dtype == words.dtype
                 assert np.array_equal(got.envelopes[element], words)
-            assert np.all(got.n0 + got.length <= got.window_end)
+            assert np.all(got.n0 + got.cmd.length <= got.window_end)
             assert got.window_end <= shot_samples
         else:
             # every command before the lowest faulty one passes, so the
@@ -1296,14 +1303,6 @@ class TestIntake:
             assert error == str(reference.value)
             if len(faulty) == 1:
                 assert error == expected_error
-        if all(0 <= w < 1 << 128 for w in image.commands):
-            # COMMAND memory's wire words take the same path
-            try:
-                wire = sim.prepare(wire_words(image.commands), image.repeat_cycles, image.envelopes)
-            except SimulationError as exc:
-                assert str(exc) == error
-            else:
-                assert error is None and prepared_events(wire) == prepared_events(got)
 
     def test_several_faults_report_the_lowest(self):
         image = ProgramImage(
@@ -1312,7 +1311,7 @@ class TestIntake:
             8,
         )
         with pytest.raises(SimulationError, match="^command 1: element 200 out of range$"):
-            Simulator(HW).prepare(image.commands, image.repeat_cycles, image.envelopes)
+            Simulator(HW).prepare(wire_words(image.commands), image.repeat_cycles, image.envelopes)
 
     @pytest.mark.parametrize(
         "commands, message",
@@ -1347,11 +1346,19 @@ class TestIntake:
                 [up_cmd(), down_cmd(trig_t=30, length=64, condition=1)],
                 "command 1: window ends at sample 184, beyond the 128-sample repeat period",
             ),
-            ([up_cmd(), up_cmd(element=1), 1 << 128], "command 2: command word does not fit 128 bits"),
-            ([up_cmd(), down_cmd(), (1 << 200) + 5], "command 2: command word does not fit 128 bits"),
-            ([up_cmd(), -1, up_cmd(element=60)], "command 1: command word does not fit 128 bits"),
-            ([up_cmd(), -(1 << 130)], "command 1: command word does not fit 128 bits"),
-            ([up_cmd(element=40), -5], "command 0: element 40 out of range"),
+            # the highest and the lowest reserved bit
+            ([up_cmd(), up_cmd(element=1), 1 << 127], "command 2: nonzero reserved bits in a command word"),
+            (
+                [up_cmd(), down_cmd(), (1 << 97) | up_cmd(element=1)],
+                "command 2: nonzero reserved bits in a command word",
+            ),
+            ([up_cmd(), up_cmd(element=250), up_cmd(element=60)], "command 1: element 250 out of range"),
+            (
+                [up_cmd(), up_cmd(element=1, trig_t=31, length=8)],
+                "command 1: window ends at sample 132, beyond the 128-sample repeat period",
+            ),
+            # a word that fails decoding after the lowest faulty position
+            ([up_cmd(element=40), 1 << 100], "command 0: element 40 out of range"),
             # several checks failing at one position: the first one names it
             ([up_cmd(element=40) | 1 << 100], "command 0: nonzero reserved bits in a command word"),
             ([up_cmd(element=40, trig_t=30)], "command 0: element 40 out of range"),
@@ -1369,11 +1376,27 @@ class TestIntake:
         image = ProgramImage(commands, {}, 32)
         sim = Simulator(HW)
         with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
-            sim.prepare(image.commands, image.repeat_cycles, image.envelopes)
+            sim.prepare(wire_words(image.commands), image.repeat_cycles, image.envelopes)
         # the first check each position fails, in the reference's order
         lowest = faulty_positions(sim, image)[0]
         with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
             reference_prepare(sim, ProgramImage(commands[: lowest + 1], {}, 32))
+
+    @pytest.mark.parametrize(
+        "commands, message",
+        [
+            ([up_cmd(), up_cmd(element=1), 1 << 128], "command 2: command word does not fit 128 bits"),
+            ([up_cmd(), down_cmd(), (1 << 200) + 5], "command 2: command word does not fit 128 bits"),
+            ([up_cmd(), -1, up_cmd(element=60)], "command 1: command word does not fit 128 bits"),
+            ([up_cmd(), -(1 << 130)], "command 1: command word does not fit 128 bits"),
+            # the image holds no decoded field, so an unknown element before passes
+            ([up_cmd(element=40), -5], "command 1: command word does not fit 128 bits"),
+            ([1 << 128, -1], "command 0: command word does not fit 128 bits"),
+        ],
+    )
+    def test_image_rejects_a_word_wider_than_a_command(self, commands, message):
+        with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+            ProgramImage(commands, {}, 32)
 
     def test_wire_words_with_reserved_bits_fail_at_their_position(self):
         words = [up_cmd(length=16), (1 << 127) | up_cmd(element=1), 1 << 97]
@@ -1383,20 +1406,19 @@ class TestIntake:
             Simulator(HW).prepare(wire_words(words), 32, {})
 
     def test_empty_program(self):
-        for commands in ([], wire_words([])):
-            prepared = Simulator(HW).prepare(commands, 8, {})
-            assert prepared_events(prepared) == []
-            assert (prepared.window_end, prepared.windows, prepared.envelopes) == (0, {}, {})
+        prepared = Simulator(HW).prepare(wire_words([]), 8, {})
+        assert prepared_events(prepared) == []
+        assert (prepared.window_end, prepared.windows, prepared.envelopes) == (0, {}, {})
 
     @pytest.mark.parametrize("cycles", [0, MAX_REPEAT_CYCLES + 1])
     def test_period_outside_the_bound_rejected(self, cycles):
         with pytest.raises(SimulationError, match="repeat_cycles"):
-            Simulator(HW).prepare([], cycles, {})
+            Simulator(HW).prepare(wire_words([]), cycles, {})
 
     def test_envelopes_copied(self):
         words, _ = env_words()
         memory = {0: np.array(words, dtype=">u4")}
-        prepared = Simulator(HW).prepare([up_cmd(length=96)], 32, memory)
+        prepared = Simulator(HW).prepare(wire_words([up_cmd(length=96)]), 32, memory)
         memory[0][:] = 0
         assert prepared.envelopes[0].tolist() == list(words[:96])
 
@@ -1488,6 +1510,11 @@ class TestCaptureUnits:
         image = ProgramImage(commands=[up_cmd(length=96)], envelopes={0: words}, repeat_cycles=32)
         with pytest.raises(SimulationError, match=message):
             Simulator(HW, wiring=Loopback(0)).run(image, acq=AcqConfig(tap, unit, 16))
+
+    def test_missing_unit_rejected_before_any_shot_or_check_of_the_program(self):
+        image = ProgramImage(commands=[up_cmd(element=99)], envelopes={}, repeat_cycles=32)
+        with pytest.raises(SimulationError, match="^no ADC pair 9$"):
+            Simulator(HW).run(image, shots=0, acq=AcqConfig("adc", 9, 16))
 
     def test_negative_shots_rejected(self):
         image = ProgramImage(commands=[], envelopes={}, repeat_cycles=8)
